@@ -2,10 +2,11 @@
 // fully polynomial.
 //
 // Claim: the runtime is polynomial in the database size n, in 1/ε and in
-// ln(1/δ). Expected shape: the n-sweep grows like the grounding size
-// (≈ n^{#quantified variables} term construction plus Karp-Luby work
-// linear in the term count); the ε-sweep grows ≈ 1/ε²; the δ-sweep grows
-// logarithmically.
+// ln(1/δ). Expected shape: the n-sweep is Karp-Luby's — about n terms, so
+// samples ∝ n, each drawing the ≈ 2n lineage variables and scanning the n
+// terms, Θ(n²) — while the join grounding visits only the ≈ 2n bindings
+// that the n possible E tuples and their S(x) lookups give; the ε-sweep
+// grows ≈ 1/ε²; the δ-sweep grows logarithmically.
 
 #include <benchmark/benchmark.h>
 

@@ -61,13 +61,30 @@ StatusOr<ApproxResult> FptrasFromPrenex(const PrenexExistential& prenex,
     return result;
   }
 
-  int entries = db.model().entry_count();
-  Dnf dnf(entries);
+  // Renumber the lineage, the entries ψ'' mentions, onto dense variables
+  // in ascending entry order, so the DNF and the sampler scale with the
+  // query's support rather than the database. Karp-Luby draws variables in
+  // ascending order, so the estimate equals that of the same DNF over all
+  // entry ids.
+  std::vector<int> lineage;
+  for (const std::vector<GroundLiteral>& term : ground->terms) {
+    for (const GroundLiteral& literal : term) {
+      lineage.push_back(literal.entry);
+    }
+  }
+  std::sort(lineage.begin(), lineage.end());
+  lineage.erase(std::unique(lineage.begin(), lineage.end()), lineage.end());
+  auto variable_of = [&lineage](int entry) {
+    return static_cast<int>(
+        std::lower_bound(lineage.begin(), lineage.end(), entry) -
+        lineage.begin());
+  };
+  Dnf dnf(static_cast<int>(lineage.size()));
   for (const std::vector<GroundLiteral>& term : ground->terms) {
     std::vector<PropLiteral> literals;
     literals.reserve(term.size());
     for (const GroundLiteral& literal : term) {
-      literals.push_back({literal.entry, literal.positive});
+      literals.push_back({variable_of(literal.entry), literal.positive});
     }
     dnf.AddTerm(std::move(literals));
   }
@@ -75,9 +92,9 @@ StatusOr<ApproxResult> FptrasFromPrenex(const PrenexExistential& prenex,
   // without changing Pr[ψ''].
   dnf.RemoveSubsumedTerms();
   std::vector<Rational> prob_true;
-  prob_true.reserve(static_cast<size_t>(entries));
-  for (int e = 0; e < entries; ++e) {
-    prob_true.push_back(db.EntryNuTrue(e));
+  prob_true.reserve(lineage.size());
+  for (int entry : lineage) {
+    prob_true.push_back(db.EntryNuTrue(entry));
   }
 
   KarpLubyOptions kl;
@@ -202,7 +219,7 @@ StatusOr<ApproxResult> ReliabilityAbsoluteApprox(
   // cancellation or SIGINT can flush usable progress. With more than one
   // tuple the per-tuple accumulators must own the snapshot.
   CheckpointScope checkpoint(*tuple_count > 1 ? options.run_context : nullptr,
-                             "core.absolute_approx.v1", fingerprint.value());
+                             "core.absolute_approx.v2", fingerprint.value());
 
   Rng seeder(options.seed);
   double expected_error = 0.0;

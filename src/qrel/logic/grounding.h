@@ -10,6 +10,16 @@
 // literals per disjunct is bounded by the width of φ's DNF — independent
 // of the database — so ψ'' is a kDNF of size polynomial in n, as the
 // theorem requires.
+//
+// Only the b̄ that make every positive atom of a disjunct possible
+// (ν > 0) can contribute, so the construction does not walk all n^|ȳ|
+// assignments: each disjunct's positive atoms drive a depth-first join
+// over their possible tuples (observed facts with μ < 1 and observed-false
+// atoms with μ > 0), and only variables that occur in no positive atom of
+// the disjunct range over the universe. The cost is the number of join
+// candidates visited, which for a conjunctive query is about the number of
+// facts its atoms can match. The result is the DNF the walk over all b̄
+// would produce, term for term and in the same order.
 
 #ifndef QREL_LOGIC_GROUNDING_H_
 #define QREL_LOGIC_GROUNDING_H_
@@ -52,12 +62,17 @@ struct GroundDnf {
 
 // Grounds the prenex-existential query against `database`, with
 // `free_assignment` supplying values for prenex.free_variables (in order;
-// empty for sentences). Fails with OutOfRange if more than `max_terms`
+// empty for sentences). Terms appear in the order of their first
+// occurrence when the bound assignments are visited in odometer order and,
+// per assignment, the matrix's DNF disjuncts in order. Fails with
+// InvalidArgument if an atom argument (a constant, or a free value) lies
+// outside the universe, and with OutOfRange if more than `max_terms`
 // ground terms survive (the bound exists to keep malformed inputs from
 // exhausting memory; the construction itself is polynomial for a fixed
-// query). `ctx` (nullable) is charged one work unit per bound-variable
-// assignment plus one per emitted ground clause; a tripped envelope stops
-// the expansion with the budget status.
+// query). `ctx` (nullable) is charged one work unit per binding the join
+// visits (each partial binding, from the empty one to complete ones) plus
+// one per emitted ground clause; a tripped envelope stops the expansion
+// with the budget status.
 StatusOr<GroundDnf> GroundExistential(const PrenexExistential& prenex,
                                       const UnreliableDatabase& database,
                                       const Tuple& free_assignment,

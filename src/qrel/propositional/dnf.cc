@@ -130,21 +130,22 @@ int Dnf::RemoveSubsumedTerms() {
   return removed;
 }
 
+BernoulliThreshold::BernoulliThreshold(const Rational& p) {
+  if (p.denominator().FitsInt64()) {
+    numerator_ = static_cast<uint64_t>(p.numerator().ToInt64());
+    denominator_ = static_cast<uint64_t>(p.denominator().ToInt64());
+  } else {
+    exact_ = false;
+    probability_ = p.ToDouble();
+  }
+}
+
 PropAssignment SampleAssignment(const std::vector<Rational>& prob_true,
                                 Rng* rng) {
   QREL_CHECK(rng != nullptr);
   PropAssignment assignment(prob_true.size(), 0);
   for (size_t i = 0; i < prob_true.size(); ++i) {
-    const Rational& p = prob_true[i];
-    bool value;
-    if (p.denominator().FitsInt64()) {
-      uint64_t den = static_cast<uint64_t>(p.denominator().ToInt64());
-      uint64_t num = static_cast<uint64_t>(p.numerator().ToInt64());
-      value = den == 1 ? !p.IsZero() : rng->NextBelow(den) < num;
-    } else {
-      value = rng->NextBernoulli(p.ToDouble());
-    }
-    assignment[i] = value ? 1 : 0;
+    assignment[i] = BernoulliThreshold(prob_true[i]).Draw(rng) ? 1 : 0;
   }
   return assignment;
 }

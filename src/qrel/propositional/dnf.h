@@ -83,8 +83,31 @@ class Dnf {
   std::vector<std::vector<PropLiteral>> terms_;
 };
 
-// Draws an assignment from the product distribution given by `prob_true`.
-// Exact (integer-threshold) draws when denominators fit in 64 bits.
+// A Bernoulli(p) draw with p precomputed once: exact when p's denominator
+// fits in 64 bits (a uniform integer below it is compared with the
+// numerator), which covers every probability parsed from text, and a
+// double threshold otherwise. p = 0 and p = 1 consume no randomness.
+class BernoulliThreshold {
+ public:
+  explicit BernoulliThreshold(const Rational& p);
+
+  bool Draw(Rng* rng) const {
+    if (!exact_) {
+      return rng->NextBernoulli(probability_);
+    }
+    return denominator_ == 1 ? numerator_ != 0
+                             : rng->NextBelow(denominator_) < numerator_;
+  }
+
+ private:
+  bool exact_ = true;
+  uint64_t numerator_ = 0;
+  uint64_t denominator_ = 1;
+  double probability_ = 0.0;
+};
+
+// Draws an assignment from the product distribution given by `prob_true`,
+// one BernoulliThreshold draw per variable in index order.
 PropAssignment SampleAssignment(const std::vector<Rational>& prob_true,
                                 Rng* rng);
 

@@ -99,8 +99,27 @@ StatusOr<KarpLubyResult> KarpLubyProbability(
                : uint64_t{0})
       .MixDouble(total_weight);
   MixDnfContent(dnf, prob_true, &fingerprint);
-  CheckpointScope checkpoint(options.run_context, "propositional.karp_luby.v1",
+  CheckpointScope checkpoint(options.run_context, "propositional.karp_luby.v2",
                              fingerprint.value());
+
+  // The variables some term mentions, dead terms included, in ascending
+  // order: the only ones any term reads. Nothing else is drawn, so padding
+  // the DNF with unused variables leaves the sample stream, and with it the
+  // estimate, bit-identical.
+  std::vector<int> mentioned;
+  for (const std::vector<PropLiteral>& term : dnf.terms()) {
+    for (const PropLiteral& literal : term) {
+      mentioned.push_back(literal.variable);
+    }
+  }
+  std::sort(mentioned.begin(), mentioned.end());
+  mentioned.erase(std::unique(mentioned.begin(), mentioned.end()),
+                  mentioned.end());
+  std::vector<BernoulliThreshold> thresholds;
+  thresholds.reserve(mentioned.size());
+  for (int v : mentioned) {
+    thresholds.emplace_back(prob_true[static_cast<size_t>(v)]);
+  }
 
   Rng rng(options.seed);
   PropAssignment assignment(static_cast<size_t>(dnf.variable_count()), 0);
@@ -145,17 +164,9 @@ StatusOr<KarpLubyResult> KarpLubyProbability(
 
     // Draw an assignment conditioned on that term being satisfied: the
     // term's literals are forced, all other variables are independent.
-    for (int v = 0; v < dnf.variable_count(); ++v) {
-      const Rational& p = prob_true[static_cast<size_t>(v)];
-      bool value;
-      if (p.denominator().FitsInt64()) {
-        uint64_t den = static_cast<uint64_t>(p.denominator().ToInt64());
-        uint64_t num = static_cast<uint64_t>(p.numerator().ToInt64());
-        value = rng.NextBelow(den) < num;
-      } else {
-        value = rng.NextBernoulli(p.ToDouble());
-      }
-      assignment[static_cast<size_t>(v)] = value ? 1 : 0;
+    for (size_t i = 0; i < mentioned.size(); ++i) {
+      assignment[static_cast<size_t>(mentioned[i])] =
+          thresholds[i].Draw(&rng) ? 1 : 0;
     }
     for (const PropLiteral& literal : dnf.term(term_index)) {
       assignment[static_cast<size_t>(literal.variable)] =

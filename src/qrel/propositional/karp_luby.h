@@ -67,7 +67,11 @@ struct KarpLubyResult {
 };
 
 // Estimates Pr[φ] for `dnf` under `prob_true`. Exact corner cases (no
-// terms, an empty term, zero total weight) return without sampling.
+// terms, an empty term, zero total weight) return without sampling. A
+// sample draws only the variables some term mentions (zero-weight terms
+// included), in ascending order, from thresholds precomputed once, so its
+// cost does not grow with variable_count(), and the same terms over a
+// larger, order-preserving variable numbering give the same estimate.
 StatusOr<KarpLubyResult> KarpLubyProbability(
     const Dnf& dnf, const std::vector<Rational>& prob_true,
     const KarpLubyOptions& options);

@@ -32,7 +32,7 @@
 // the computation.
 //
 // Resume keying: each algorithm stamps its snapshots with a `kind` string
-// (e.g. "propositional.karp_luby.v1") and a fingerprint digesting
+// (e.g. "propositional.karp_luby.v2") and a fingerprint digesting
 // everything its result depends on — not just the run parameters (seed,
 // sample plan) and the instance *shape* (counts, arities), but the full
 // instance *content*: the serialized query or program, the DNF term

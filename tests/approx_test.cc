@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include "qrel/core/reliability.h"
+#include "qrel/logic/grounding.h"
+#include "qrel/logic/normal_form.h"
 #include "qrel/logic/parser.h"
+#include "qrel/propositional/karp_luby.h"
 
 namespace qrel {
 namespace {
@@ -111,6 +114,49 @@ TEST(FptrasTest, FreeVariableInstantiation) {
                 3 * options.epsilon * std::max(exact, 0.01))
         << "x = " << a;
   }
+}
+
+TEST(FptrasTest, LineageEstimateEqualsTheFullEntryEstimate) {
+  // The FPTRAS samples a DNF over the lineage only (here 6 of the 10
+  // entries); Karp-Luby over the same ground DNF with every entry id as a
+  // variable must give the bit-identical estimate.
+  UnreliableDatabase db = SmallDatabase();
+  for (Element a = 0; a < 3; ++a) {
+    for (Element b = 0; b < 3; ++b) {
+      if (db.StatusOf(GroundAtom{0, {a, b}}, nullptr) ==
+          UnreliableDatabase::AtomStatus::kCertainFalse) {
+        db.SetErrorProbability(GroundAtom{0, {a, b}}, Rational(1, 7));
+      }
+    }
+  }
+  FormulaPtr query = MustParse("exists x y . E(x, y) & S(y) & x != y");
+  ApproxOptions options;
+  options.seed = 4242;
+  options.fixed_samples = 3000;
+  ApproxResult lineage = *ExistentialProbabilityFptras(query, db, {}, options);
+
+  GroundDnf ground =
+      *GroundExistential(*ToPrenexExistential(query), db, {});
+  Dnf full(db.model().entry_count());
+  for (const std::vector<GroundLiteral>& term : ground.terms) {
+    std::vector<PropLiteral> literals;
+    for (const GroundLiteral& literal : term) {
+      literals.push_back({literal.entry, literal.positive});
+    }
+    full.AddTerm(std::move(literals));
+  }
+  full.RemoveSubsumedTerms();
+  std::vector<Rational> prob_true;
+  for (int e = 0; e < db.model().entry_count(); ++e) {
+    prob_true.push_back(db.EntryNuTrue(e));
+  }
+  KarpLubyOptions kl;
+  kl.seed = options.seed;
+  kl.fixed_samples = options.fixed_samples;
+  KarpLubyResult reference = *KarpLubyProbability(full, prob_true, kl);
+  ASSERT_GT(full.term_count(), 1);
+  EXPECT_EQ(lineage.estimate, reference.estimate);
+  EXPECT_EQ(lineage.samples, reference.samples);
 }
 
 TEST(Cor55Test, RejectsGeneralQueries) {

@@ -10,7 +10,10 @@
 // by running one clean pass of the workload before arming anything. The
 // whole file runs under QREL_SANITIZE in the sanitizer build.
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <new>
 #include <string>
@@ -92,8 +95,21 @@ Outcome StatusOutcome(const std::string& label, const Status& status,
   return outcome;
 }
 
+// This test's own temp directory, named from the test name and the pid:
+// under ctest -j every test runs in a process of its own, and a file shared
+// between them would be truncated by one while another reads it.
+std::string TestDir() {
+  const ::testing::TestInfo* test =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "/chaos_engine_" +
+         (test != nullptr ? test->name() : "no_test") + "_" +
+         std::to_string(getpid());
+}
+
 std::string WriteTempFile(const std::string& name, const std::string& text) {
-  std::string path = ::testing::TempDir() + "/" + name;
+  std::error_code error;
+  std::filesystem::create_directories(TestDir(), error);
+  std::string path = TestDir() + "/" + name;
   std::ofstream out(path, std::ios::trunc);
   out << text;
   return path;
@@ -222,7 +238,11 @@ const char* const kExpectedSites[] = {
 class ChaosEngineTest : public ::testing::Test {
  protected:
   void SetUp() override { FaultInjector::Instance().Reset(); }
-  void TearDown() override { FaultInjector::Instance().Reset(); }
+  void TearDown() override {
+    FaultInjector::Instance().Reset();
+    std::error_code error;
+    std::filesystem::remove_all(TestDir(), error);
+  }
 };
 
 TEST_F(ChaosEngineTest, WorkloadIsDeterministic) {

@@ -176,5 +176,107 @@ TEST(KarpLubyTest, DeterministicForFixedSeed) {
   EXPECT_EQ(a.estimate, b.estimate);
 }
 
+// Embeds `dnf` into `variables` >= dnf.variable_count() variables, variable
+// v going to 3v + 1, and pads the new variables with probabilities of
+// their own. Ascending variable order is preserved.
+Dnf Padded(const Dnf& dnf, int variables) {
+  Dnf padded(variables);
+  for (const std::vector<PropLiteral>& term : dnf.terms()) {
+    std::vector<PropLiteral> literals;
+    for (const PropLiteral& literal : term) {
+      literals.push_back({3 * literal.variable + 1, literal.positive});
+    }
+    padded.AddTerm(std::move(literals));
+  }
+  return padded;
+}
+
+std::vector<Rational> PaddedProbabilities(const std::vector<Rational>& probs,
+                                          int variables) {
+  std::vector<Rational> padded(static_cast<size_t>(variables),
+                               Rational(2, 7));
+  for (size_t v = 0; v < probs.size(); ++v) {
+    padded[3 * v + 1] = probs[v];
+  }
+  return padded;
+}
+
+void ExpectBitIdentical(const KarpLubyResult& a, const KarpLubyResult& b) {
+  EXPECT_EQ(a.estimate, b.estimate);
+  EXPECT_EQ(a.samples, b.samples);
+  EXPECT_EQ(a.total_term_weight, b.total_term_weight);
+}
+
+TEST(KarpLubyRenumberingTest, UnusedVariablesLeaveTheEstimateBitIdentical) {
+  // The sampler draws only variables some term mentions, in ascending
+  // order, so a DNF over the lineage alone and the same DNF over a larger
+  // variable space give the same sample stream.
+  Rng rng(77);
+  for (int trial = 0; trial < 6; ++trial) {
+    Dnf compact = RandomDnf(&rng, 7, 5, 3);
+    std::vector<Rational> probs;
+    for (int v = 0; v < 7; ++v) {
+      probs.push_back(Rational(1 + static_cast<int64_t>(rng.NextBelow(8)), 9));
+    }
+    probs[3] = Rational(1);  // deterministic variables draw nothing
+    int variables = 3 * 7 + 5;
+    Dnf padded = Padded(compact, variables);
+    for (KarpLubyOptions::Estimator estimator :
+         {KarpLubyOptions::Estimator::kCoverage,
+          KarpLubyOptions::Estimator::kCanonical}) {
+      KarpLubyOptions options;
+      options.seed = 1000 + static_cast<uint64_t>(trial);
+      options.fixed_samples = 2000;
+      options.estimator = estimator;
+      StatusOr<KarpLubyResult> a = KarpLubyProbability(compact, probs, options);
+      StatusOr<KarpLubyResult> b = KarpLubyProbability(
+          padded, PaddedProbabilities(probs, variables), options);
+      ASSERT_TRUE(a.ok() && b.ok());
+      ExpectBitIdentical(*a, *b);
+    }
+  }
+}
+
+TEST(KarpLubyRenumberingTest, DeadTermVariablesAreStillDrawn) {
+  // Term 2 has weight 2^-1200, which is 0.0 as a double, so it is never
+  // picked; its 30 variables appear in no live term. They are still drawn
+  // on every sample, so the DNF with the dead term and the same DNF padded
+  // with unused variables agree bit for bit, while dropping the dead term
+  // changes the stream.
+  Dnf with_dead(33);
+  with_dead.AddTerm({{0, true}, {1, false}});
+  with_dead.AddTerm({{0, true}, {2, true}});
+  std::vector<PropLiteral> dead;
+  for (int v = 3; v < 33; ++v) {
+    dead.push_back({v, true});
+  }
+  with_dead.AddTerm(dead);
+  std::vector<Rational> probs(33, Rational(1, int64_t{1} << 40));
+  probs[0] = Rational(1, 3);
+  probs[1] = Rational(1, 4);
+  probs[2] = Rational(1, 2);
+  KarpLubyOptions options;
+  options.seed = 5;
+  options.fixed_samples = 4000;
+  KarpLubyResult a = *KarpLubyProbability(with_dead, probs, options);
+  KarpLubyResult b = *KarpLubyProbability(
+      Padded(with_dead, 3 * 33 + 2), PaddedProbabilities(probs, 3 * 33 + 2),
+      options);
+  ExpectBitIdentical(a, b);
+  // (1/3)(3/4) + (1/3)(1/2); the dead term adds nothing.
+  EXPECT_DOUBLE_EQ(a.total_term_weight, 5.0 / 12.0);
+  // Pr = (1/3)(1 - (1/4)(1/2)) = 7/24.
+  EXPECT_NEAR(a.estimate, 7.0 / 24.0, 0.03);
+
+  Dnf live(3);
+  live.AddTerm({{0, true}, {1, false}});
+  live.AddTerm({{0, true}, {2, true}});
+  KarpLubyResult c = *KarpLubyProbability(
+      live, {probs[0], probs[1], probs[2]}, options);
+  EXPECT_EQ(c.total_term_weight, a.total_term_weight);
+  EXPECT_NE(c.estimate, a.estimate);
+  EXPECT_NEAR(c.estimate, 7.0 / 24.0, 0.03);
+}
+
 }  // namespace
 }  // namespace qrel

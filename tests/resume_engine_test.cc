@@ -248,6 +248,59 @@ TEST_F(ResumeEngineTest, KarpLubyLoopResumesMidSample) {
   std::remove(path.c_str());
 }
 
+TEST_F(ResumeEngineTest, KarpLubyV1SnapshotIsLeftUnconsumed) {
+  // Kind v2 draws only the variables some term mentions; a v1 snapshot
+  // (every variable drawn per sample) carries a stream v2 cannot continue,
+  // even under a matching fingerprint. It must stay unconsumed, and the run
+  // must equal a clean one.
+  Dnf dnf = MakeTestDnf();  // variables 6, 7 and 8 appear in no term
+  std::vector<Rational> probs = UniformHalf(10);
+  KarpLubyOptions options;
+  options.seed = 11;
+  options.fixed_samples = 64;
+
+  RunContext baseline_ctx;
+  options.run_context = &baseline_ctx;
+  StatusOr<KarpLubyResult> baseline = KarpLubyProbability(dnf, probs, options);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+
+  std::string path = SnapshotPath("resume_kl_v1.snapshot");
+  {
+    Checkpointer checkpointer(path, std::chrono::milliseconds(0));
+    ASSERT_TRUE(checkpointer.LoadForResume().ok());
+    ASSERT_TRUE(ArmFaultFromSpec("propositional.karp_luby.sample:20").ok());
+    RunContext ctx;
+    ctx.SetCheckpointer(&checkpointer);
+    options.run_context = &ctx;
+    ASSERT_FALSE(KarpLubyProbability(dnf, probs, options).ok());
+    EXPECT_GT(checkpointer.writes(), 0u);
+    FaultInjector::Instance().Reset();
+  }
+  {
+    StatusOr<SnapshotData> snapshot = ReadSnapshotFile(path);
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+    ASSERT_EQ(snapshot->kind, "propositional.karp_luby.v2");
+    snapshot->kind = "propositional.karp_luby.v1";  // same fingerprint
+    ASSERT_TRUE(WriteSnapshotFile(path, *snapshot).ok());
+  }
+  {
+    Checkpointer checkpointer(path, std::chrono::milliseconds(0));
+    ASSERT_TRUE(checkpointer.LoadForResume().ok());
+    ASSERT_TRUE(checkpointer.has_resume());
+    RunContext ctx;
+    ctx.SetCheckpointer(&checkpointer);
+    options.run_context = &ctx;
+    StatusOr<KarpLubyResult> run = KarpLubyProbability(dnf, probs, options);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_FALSE(checkpointer.resume_consumed());
+    EXPECT_EQ(run->estimate, baseline->estimate);
+    EXPECT_EQ(run->samples, baseline->samples);
+    EXPECT_EQ(run->total_term_weight, baseline->total_term_weight);
+    EXPECT_EQ(ctx.work_spent(), baseline_ctx.work_spent());
+  }
+  std::remove(path.c_str());
+}
+
 TEST_F(ResumeEngineTest, NaiveMcLoopResumesMidSample) {
   Dnf dnf = MakeTestDnf();
   std::vector<Rational> probs = UniformHalf(10);
