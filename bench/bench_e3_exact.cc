@@ -1,13 +1,15 @@
 // E3 — Theorem 4.2: exact FP^#P computation by world enumeration.
 //
 // Claim: reliability of any (second-order; here first-order) query reduces
-// to one #P-style count — realized as exact big-rational enumeration of
-// the 2^u worlds — followed by polynomial post-processing. The scaling
-// integer g (product of the ν-denominators) certifies the arithmetic:
-// g · Pr[𝔅 ⊨ ψ] is an integer on every instance.
+// to one #P-style count — realized as integer enumeration of the 2^u
+// worlds, each weighted by g·ν(𝔅) — followed by polynomial
+// post-processing. The scaling integer g (product of the ν-denominators)
+// is the arithmetic: g · Pr[𝔅 ⊨ ψ] is the integer the walk sums.
 //
-// Expected shape: time ≈ 2^u with u = #uncertain atoms; the per-world
-// factor grows mildly with u because the exact rationals widen.
+// Expected shape: time ≈ 2^u with u = #uncertain atoms, at a per-world
+// cost (time ÷ worlds) that stays flat in u: a Gray-code step
+// flips one entry and recomputes two integer products on average, and the
+// rest is query evaluation.
 
 #include <cmath>
 

@@ -3,6 +3,7 @@
 #include "qrel/core/reliability.h"
 #include "qrel/logic/classify.h"
 #include "qrel/logic/eval.h"
+#include "qrel/prob/world_enumerator.h"
 #include "qrel/util/check.h"
 #include "qrel/util/snapshot.h"
 
@@ -24,8 +25,7 @@ StatusOr<AbsoluteReliabilityResult> AbsoluteReliabilityByWitness(
   if (!compiled.ok()) {
     return compiled.status();
   }
-  const std::vector<int>& uncertain = db.UncertainEntries();
-  if (uncertain.size() > 62) {
+  if (db.UncertainEntries().size() > WorldEnumerator::kMaxUncertain) {
     return Status::OutOfRange(
         "witness search over more than 2^62 worlds");
   }
@@ -46,22 +46,14 @@ StatusOr<AbsoluteReliabilityResult> AbsoluteReliabilityByWitness(
   }
 
   AbsoluteReliabilityResult result;
-  World world(db.model().entry_count());
-  for (int id : db.model().CertainFlipEntries()) {
-    world.SetFlipped(id, true);
-  }
-
-  uint64_t world_count = uint64_t{1} << uncertain.size();
-  for (uint64_t code = 0; code < world_count; ++code) {
-    for (size_t i = 0; i < uncertain.size(); ++i) {
-      world.SetFlipped(uncertain[i], (code >> i) & 1u);
-    }
+  WorldEnumerator walk(db);
+  WorldView view(walk.index(), walk.world());
+  for (; !walk.done(); walk.Next()) {
     ++result.worlds_checked;
-    WorldView view(db, world);
     for (size_t i = 0; i < tuples.size(); ++i) {
       if (compiled->Eval(view, tuples[i]) != (observed_truth[i] != 0)) {
         result.absolutely_reliable = false;
-        result.witness = world;
+        result.witness = walk.world();
         return result;
       }
     }
@@ -107,6 +99,7 @@ StatusOr<AbsoluteReliabilityResult> AbsoluteReliabilityMonteCarlo(
   CheckpointScope checkpoint(ctx, "core.absolute_mc.v1", fingerprint.value());
 
   Rng rng(seed);
+  WorldIndex index(db);
   AbsoluteReliabilityResult result;
   uint64_t start = 0;
   {
@@ -128,7 +121,7 @@ StatusOr<AbsoluteReliabilityResult> AbsoluteReliabilityMonteCarlo(
     QREL_RETURN_IF_ERROR(ChargeWork(ctx));
     World world = db.SampleWorld(&rng);
     ++result.worlds_checked;
-    WorldView view(db, world);
+    WorldView view(index, world);
     for (size_t i = 0; i < tuples.size(); ++i) {
       if (compiled->Eval(view, tuples[i]) != (observed_truth[i] != 0)) {
         result.absolutely_reliable = false;

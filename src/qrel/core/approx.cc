@@ -344,6 +344,7 @@ StatusOr<ApproxResult> PaddedReliabilityApprox(const FormulaPtr& query,
 
   const double xi = options.xi;
   Rng rng(options.seed);
+  WorldIndex index(db);
   double expected_error = 0.0;
   uint64_t samples = 0;
   Tuple assignment(static_cast<size_t>(k), 0);
@@ -399,7 +400,7 @@ StatusOr<ApproxResult> PaddedReliabilityApprox(const FormulaPtr& query,
       bool psi_true = rc;
       if (!psi_true) {
         World world = db.SampleWorld(&rng);
-        WorldView view(db, world);
+        WorldView view(index, world);
         psi_true = compiled->Eval(view, assignment);
       }
       if (psi_true) {

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "qrel/logic/classify.h"
+#include "qrel/prob/world_enumerator.h"
 #include "qrel/util/check.h"
 #include "qrel/util/fault_injection.h"
 #include "qrel/util/snapshot.h"
@@ -83,6 +84,29 @@ void CollectGroundAtoms(
   }
 }
 
+// Σ g·ν(𝔅) over the worlds where ψ(assignment) holds, with its g.
+StatusOr<WorldSum> WeightWhereTrue(const FormulaPtr& query,
+                                   const UnreliableDatabase& db,
+                                   const Tuple& assignment) {
+  StatusOr<CompiledQuery> compiled =
+      CompiledQuery::Compile(query, db.vocabulary());
+  if (!compiled.ok()) {
+    return compiled.status();
+  }
+  if (static_cast<int>(assignment.size()) != compiled->arity()) {
+    return Status::InvalidArgument("assignment arity mismatch");
+  }
+  if (db.UncertainEntries().size() > WorldEnumerator::kMaxUncertain) {
+    return Status::OutOfRange(
+        "exact probability would enumerate more than 2^62 worlds");
+  }
+  return SumOverWorlds(
+      db, BigInt(1), nullptr, nullptr, nullptr,
+      [&](const AtomOracle& world) -> StatusOr<uint64_t> {
+        return compiled->Eval(world, assignment) ? 1 : 0;
+      });
+}
+
 }  // namespace
 
 StatusOr<ReliabilityReport> ExactReliability(const FormulaPtr& query,
@@ -93,7 +117,7 @@ StatusOr<ReliabilityReport> ExactReliability(const FormulaPtr& query,
   if (!compiled.ok()) {
     return compiled.status();
   }
-  if (db.UncertainEntries().size() > 62) {
+  if (db.UncertainEntries().size() > WorldEnumerator::kMaxUncertain) {
     return Status::OutOfRange(
         "exact reliability would enumerate more than 2^62 worlds");
   }
@@ -107,9 +131,6 @@ StatusOr<ReliabilityReport> ExactReliability(const FormulaPtr& query,
     observed_truth[i] = compiled->Eval(db.observed(), tuples[i]) ? 1 : 0;
   }
 
-  ReliabilityReport report;
-  report.arity = k;
-
   Fingerprint fingerprint;
   fingerprint.Mix("core.exact")
       .Mix(static_cast<uint64_t>(n))
@@ -117,59 +138,27 @@ StatusOr<ReliabilityReport> ExactReliability(const FormulaPtr& query,
       .Mix(static_cast<uint64_t>(db.UncertainEntries().size()))
       .Mix(query->ToString())
       .Mix(db.ContentFingerprint());
-  CheckpointScope checkpoint(ctx, "core.exact.v1", fingerprint.value());
+  CheckpointScope checkpoint(ctx, "core.exact.v2", fingerprint.value());
 
-  uint64_t code = 0;  // index of the next world to visit
-  {
-    std::optional<SnapshotReader> resume;
-    QREL_RETURN_IF_ERROR(checkpoint.TakeResume(&resume));
-    if (resume.has_value()) {
-      QREL_RETURN_IF_ERROR(resume->U64(&code));
-      QREL_RETURN_IF_ERROR(resume->RationalVal(&report.expected_error));
-      QREL_RETURN_IF_ERROR(resume->U64(&report.work_units));
-      QREL_RETURN_IF_ERROR(resume->ExpectEnd());
-    }
-  }
-
-  Status budget = Status::Ok();
-  db.ForEachWorldWhile(
-      [&](const World& world, const Rational& probability) {
-        // Checkpoint before charging so the resumed run re-charges this
-        // world and the work counter continues without a gap.
-        budget = checkpoint.MaybeCheckpoint([&](SnapshotWriter& w) {
-          w.U64(code);
-          w.RationalVal(report.expected_error);
-          w.U64(report.work_units);
-        });
-        if (budget.ok()) {
-          budget = ChargeWork(ctx);
-        }
-        if (budget.ok()) {
-          budget = QREL_FAULT_HIT("core.exact.world");
-        }
-        if (!budget.ok()) {
-          return false;
-        }
-        ++report.work_units;
-        ++code;
-        if (probability.IsZero()) {
-          return true;
-        }
-        WorldView view(db, world);
-        int differing = 0;
+  StatusOr<WorldSum> sum = SumOverWorlds(
+      db, BigInt::FromUint64(tuples.size()), &checkpoint, ctx,
+      [] { return QREL_FAULT_HIT("core.exact.world"); },
+      [&](const AtomOracle& world) -> StatusOr<uint64_t> {
+        uint64_t differing = 0;
         for (size_t i = 0; i < tuples.size(); ++i) {
-          bool actual = compiled->Eval(view, tuples[i]);
-          if (actual != (observed_truth[i] != 0)) {
+          if (compiled->Eval(world, tuples[i]) != (observed_truth[i] != 0)) {
             ++differing;
           }
         }
-        if (differing > 0) {
-          report.expected_error += probability * Rational(differing);
-        }
-        return true;
-      },
-      code);
-  QREL_RETURN_IF_ERROR(budget);
+        return differing;
+      });
+  if (!sum.ok()) {
+    return sum.status();
+  }
+  ReliabilityReport report;
+  report.arity = k;
+  report.work_units = sum->worlds;
+  report.expected_error = Rational(sum->weighted, sum->g);
   report.reliability =
       Rational(1) - report.expected_error / TupleSpaceSize(n, k);
   return report;
@@ -178,45 +167,21 @@ StatusOr<ReliabilityReport> ExactReliability(const FormulaPtr& query,
 StatusOr<Rational> ExactQueryProbability(const FormulaPtr& query,
                                          const UnreliableDatabase& db,
                                          const Tuple& assignment) {
-  StatusOr<CompiledQuery> compiled =
-      CompiledQuery::Compile(query, db.vocabulary());
-  if (!compiled.ok()) {
-    return compiled.status();
+  StatusOr<WorldSum> sum = WeightWhereTrue(query, db, assignment);
+  if (!sum.ok()) {
+    return sum.status();
   }
-  if (static_cast<int>(assignment.size()) != compiled->arity()) {
-    return Status::InvalidArgument("assignment arity mismatch");
-  }
-  if (db.UncertainEntries().size() > 62) {
-    return Status::OutOfRange(
-        "exact probability would enumerate more than 2^62 worlds");
-  }
-  Rational probability;
-  db.ForEachWorld([&](const World& world, const Rational& world_probability) {
-    if (world_probability.IsZero()) {
-      return;
-    }
-    WorldView view(db, world);
-    if (compiled->Eval(view, assignment)) {
-      probability += world_probability;
-    }
-  });
-  return probability;
+  return Rational(sum->weighted, sum->g);
 }
 
 StatusOr<ScaledProbability> ExactScaledProbability(
     const FormulaPtr& query, const UnreliableDatabase& db,
     const Tuple& assignment) {
-  StatusOr<Rational> probability = ExactQueryProbability(query, db, assignment);
-  if (!probability.ok()) {
-    return probability.status();
+  StatusOr<WorldSum> sum = WeightWhereTrue(query, db, assignment);
+  if (!sum.ok()) {
+    return sum.status();
   }
-  ScaledProbability result;
-  result.g = db.ComputeG();
-  Rational scaled = *probability * Rational(result.g, BigInt(1));
-  QREL_CHECK_MSG(scaled.denominator().IsOne(),
-                 "g does not scale the probability to an integer");
-  result.g_times_probability = scaled.numerator();
-  return result;
+  return ScaledProbability{sum->g, sum->weighted};
 }
 
 StatusOr<ReliabilityReport> QuantifierFreeReliability(
@@ -275,20 +240,20 @@ StatusOr<ReliabilityReport> QuantifierFreeReliability(
     uint64_t combinations = uint64_t{1} << uncertain.size();
     QREL_RETURN_IF_ERROR(ChargeWork(ctx, combinations));
     report.work_units += combinations;
-    if (!uncertain.empty()) {
-      for (uint64_t code = 0; code < combinations; ++code) {
-        Rational probability = Rational::One();
-        for (size_t i = 0; i < uncertain.size(); ++i) {
-          bool value = (code >> i) & 1u;
-          oracle.Set(atoms[static_cast<size_t>(uncertain[i])], value);
-          probability *= value ? nu_true[i] : nu_true[i].Complement();
-        }
-        if (probability.IsZero()) {
-          continue;
-        }
-        if (compiled->Eval(oracle, assignment) != observed) {
-          h_tuple += probability;
-        }
+    // With no uncertain atom the one assignment still counts: a μ = 1
+    // atom can make ψ(ā) certainly differ from its observed value.
+    for (uint64_t code = 0; code < combinations; ++code) {
+      Rational probability = Rational::One();
+      for (size_t i = 0; i < uncertain.size(); ++i) {
+        bool value = (code >> i) & 1u;
+        oracle.Set(atoms[static_cast<size_t>(uncertain[i])], value);
+        probability *= value ? nu_true[i] : nu_true[i].Complement();
+      }
+      if (probability.IsZero()) {
+        continue;
+      }
+      if (compiled->Eval(oracle, assignment) != observed) {
+        h_tuple += probability;
       }
     }
     report.expected_error += h_tuple;
@@ -302,7 +267,7 @@ StatusOr<ReliabilityReport> QuantifierFreeReliability(
 StatusOr<ReliabilityReport> ExactSecondOrderReliability(
     const CompiledSecondOrder& query, const UnreliableDatabase& db,
     bool pi11) {
-  if (db.UncertainEntries().size() > 62) {
+  if (db.UncertainEntries().size() > WorldEnumerator::kMaxUncertain) {
     return Status::OutOfRange(
         "exact reliability would enumerate more than 2^62 worlds");
   }
@@ -316,20 +281,20 @@ StatusOr<ReliabilityReport> ExactSecondOrderReliability(
     return observed.status();
   }
 
+  StatusOr<WorldSum> sum = SumOverWorlds(
+      db, BigInt(1), nullptr, nullptr, nullptr,
+      [&](const AtomOracle& world) -> StatusOr<uint64_t> {
+        StatusOr<bool> actual = eval(world);
+        QREL_CHECK(actual.ok());  // feasibility was established above
+        return *actual != *observed ? 1 : 0;
+      });
+  if (!sum.ok()) {
+    return sum.status();
+  }
   ReliabilityReport report;
   report.arity = 0;
-  db.ForEachWorld([&](const World& world, const Rational& probability) {
-    ++report.work_units;
-    if (probability.IsZero()) {
-      return;
-    }
-    WorldView view(db, world);
-    StatusOr<bool> actual = eval(view);
-    QREL_CHECK(actual.ok());  // feasibility was established above
-    if (*actual != *observed) {
-      report.expected_error += probability;
-    }
-  });
+  report.work_units = sum->worlds;
+  report.expected_error = Rational(sum->weighted, sum->g);
   report.reliability = Rational(1) - report.expected_error;
   return report;
 }
@@ -372,21 +337,24 @@ StatusOr<std::vector<TupleError>> PerTupleExpectedError(
     return result;
   }
 
-  if (db.UncertainEntries().size() > 62) {
+  if (db.UncertainEntries().size() > WorldEnumerator::kMaxUncertain) {
     return Status::OutOfRange(
         "per-tuple errors would enumerate more than 2^62 worlds");
   }
-  db.ForEachWorld([&](const World& world, const Rational& probability) {
-    if (probability.IsZero()) {
-      return;
-    }
-    WorldView view(db, world);
+  // One walk; a weighted sum per tuple, each at most g.
+  WorldEnumerator walk(db);
+  std::vector<WeightSum> errors(tuples.size(), walk.NewSum(BigInt(1)));
+  WorldView view(walk.index(), walk.world());
+  for (; !walk.done(); walk.Next()) {
     for (size_t i = 0; i < tuples.size(); ++i) {
       if (compiled->Eval(view, tuples[i]) != result[i].observed) {
-        result[i].error += probability;
+        walk.Add(1, &errors[i]);
       }
     }
-  });
+  }
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    result[i].error = Rational(errors[i].Value(), walk.g());
+  }
   return result;
 }
 

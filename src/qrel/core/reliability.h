@@ -8,9 +8,11 @@
 //
 // ExactReliability enumerates the 2^u possible worlds (u = number of
 // uncertain atoms) and is the FP^#P-style exact algorithm of Theorem 4.2 —
-// the #P oracle is realized by exact big-rational enumeration, and the
-// report includes the scaling integer g together with the integer
-// g·Pr[𝔅 ⊨ ψ(ā)] values whose integrality the theorem asserts.
+// the #P oracle is realized by integer world enumeration
+// (prob/world_enumerator.h): each world carries its weight g·ν(𝔅) as an
+// integer, the loop sums weight × (differing tuples), and the sum is
+// divided by the scaling integer g once. ExactScaledProbability returns
+// the integer g·Pr[𝔅 ⊨ ψ(ā)] itself.
 //
 // QuantifierFreeReliability is de Rougemont's polynomial-time algorithm
 // (Proposition 3.1): for each tuple ā, only the ground atoms occurring in
@@ -45,7 +47,8 @@ struct ReliabilityReport {
 // every first-order query; cost Θ(2^u · n^k) query evaluations with
 // u = |UncertainEntries()|. Fails if u > 62. `ctx` (nullable) is charged
 // one work unit per enumerated world; a tripped envelope stops the
-// enumeration with the budget status.
+// enumeration with the budget status. Checkpoints under kind
+// "core.exact.v2" (Gray step, integer sum, worlds).
 StatusOr<ReliabilityReport> ExactReliability(const FormulaPtr& query,
                                              const UnreliableDatabase& db,
                                              RunContext* ctx = nullptr);
@@ -57,8 +60,9 @@ StatusOr<Rational> ExactQueryProbability(const FormulaPtr& query,
                                          const Tuple& assignment);
 
 // Theorem 4.2 artifacts: the scaling integer g (product of ν-denominators)
-// and the exact integer g·Pr[𝔅 ⊨ ψ], certifying that the probability is a
-// ratio of polynomial-size integers.
+// and the exact integer g·Pr[𝔅 ⊨ ψ] = Σ_{𝔅 ⊨ ψ} g·ν(𝔅), the sum the world
+// enumeration computes, certifying that the probability is a ratio of
+// polynomial-size integers.
 struct ScaledProbability {
   BigInt g;
   BigInt g_times_probability;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "qrel/prob/world_enumerator.h"
 #include "qrel/util/check.h"
 #include "qrel/util/fault_injection.h"
 #include "qrel/util/snapshot.h"
@@ -11,11 +12,6 @@
 namespace qrel {
 
 namespace {
-
-Rational TupleSpaceSize(int n, int k) {
-  return Rational(BigInt::Pow(BigInt(n), static_cast<uint32_t>(k)),
-                  BigInt(1));
-}
 
 size_t SymmetricDifferenceSize(const std::set<Tuple>& a,
                                const std::set<Tuple>& b) {
@@ -39,7 +35,7 @@ StatusOr<ReliabilityReport> ExactDatalogReliability(
   if (!arity.ok()) {
     return arity.status();
   }
-  if (db.UncertainEntries().size() > 62) {
+  if (db.UncertainEntries().size() > WorldEnumerator::kMaxUncertain) {
     return Status::OutOfRange(
         "exact Datalog reliability would enumerate more than 2^62 worlds");
   }
@@ -53,7 +49,7 @@ StatusOr<ReliabilityReport> ExactDatalogReliability(
       .Mix(static_cast<uint64_t>(db.UncertainEntries().size()))
       .Mix(program.program().ToString())
       .Mix(db.ContentFingerprint());
-  CheckpointScope checkpoint(ctx, "datalog.exact.v1", fingerprint.value());
+  CheckpointScope checkpoint(ctx, "datalog.exact.v2", fingerprint.value());
 
   StatusOr<std::set<Tuple>> observed =
       program.EvalPredicate(db.observed(), predicate, ctx);
@@ -61,61 +57,29 @@ StatusOr<ReliabilityReport> ExactDatalogReliability(
     return observed.status();
   }
 
+  BigInt tuple_space =
+      BigInt::Pow(BigInt(db.universe_size()), static_cast<uint32_t>(*arity));
+  StatusOr<WorldSum> sum = SumOverWorlds(
+      db, tuple_space, &checkpoint, ctx,
+      [] { return QREL_FAULT_HIT("datalog.exact.world"); },
+      [&](const AtomOracle& world) -> StatusOr<uint64_t> {
+        // A failure is the envelope tripping mid-fixpoint, or a fault.
+        StatusOr<std::set<Tuple>> actual =
+            program.EvalPredicate(world, predicate, ctx);
+        if (!actual.ok()) {
+          return actual.status();
+        }
+        return SymmetricDifferenceSize(*observed, *actual);
+      });
+  if (!sum.ok()) {
+    return sum.status();
+  }
   ReliabilityReport report;
   report.arity = *arity;
-  uint64_t code = 0;  // index of the next world to visit
-  {
-    std::optional<SnapshotReader> resume;
-    QREL_RETURN_IF_ERROR(checkpoint.TakeResume(&resume));
-    if (resume.has_value()) {
-      QREL_RETURN_IF_ERROR(resume->U64(&code));
-      QREL_RETURN_IF_ERROR(resume->RationalVal(&report.expected_error));
-      QREL_RETURN_IF_ERROR(resume->U64(&report.work_units));
-      QREL_RETURN_IF_ERROR(resume->ExpectEnd());
-    }
-  }
-
-  Status budget = Status::Ok();
-  db.ForEachWorldWhile(
-      [&](const World& world, const Rational& probability) {
-        budget = checkpoint.MaybeCheckpoint([&](SnapshotWriter& w) {
-          w.U64(code);
-          w.RationalVal(report.expected_error);
-          w.U64(report.work_units);
-        });
-        if (budget.ok()) {
-          budget = ChargeWork(ctx);
-        }
-        if (budget.ok()) {
-          budget = QREL_FAULT_HIT("datalog.exact.world");
-        }
-        if (!budget.ok()) {
-          return false;
-        }
-        ++report.work_units;
-        ++code;
-        if (probability.IsZero()) {
-          return true;
-        }
-        WorldView view(db, world);
-        StatusOr<std::set<Tuple>> actual =
-            program.EvalPredicate(view, predicate, ctx);
-        if (!actual.ok()) {
-          budget = actual.status();  // the envelope, or an injected fault
-          return false;
-        }
-        size_t differing = SymmetricDifferenceSize(*observed, *actual);
-        if (differing > 0) {
-          report.expected_error +=
-              probability * Rational(static_cast<int64_t>(differing));
-        }
-        return true;
-      },
-      code);
-  QREL_RETURN_IF_ERROR(budget);
+  report.work_units = sum->worlds;
+  report.expected_error = Rational(sum->weighted, sum->g);
   report.reliability =
-      Rational(1) -
-      report.expected_error / TupleSpaceSize(db.universe_size(), *arity);
+      Rational(1) - report.expected_error / Rational(tuple_space, BigInt(1));
   return report;
 }
 
@@ -184,6 +148,7 @@ StatusOr<ApproxResult> PaddedDatalogReliability(
 
   const double xi = options.xi;
   Rng rng(options.seed);
+  WorldIndex index(db);
   bool truncated = false;
   uint64_t drawn = 0;
   {
@@ -221,7 +186,7 @@ StatusOr<ApproxResult> PaddedDatalogReliability(
     std::set<Tuple> actual;
     if (budget.ok()) {
       World world = db.SampleWorld(&rng);
-      WorldView view(db, world);
+      WorldView view(index, world);
       StatusOr<std::set<Tuple>> evaluated =
           program.EvalPredicate(view, predicate, options.run_context);
       if (evaluated.ok()) {

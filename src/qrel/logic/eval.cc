@@ -1,5 +1,6 @@
 #include "qrel/logic/eval.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "qrel/util/check.h"
@@ -26,6 +27,9 @@ StatusOr<CompiledQuery> CompiledQuery::Compile(FormulaPtr formula,
   }
   query.root_ = std::move(root).value();
   query.slot_count_ = next_slot;
+  for (int r = 0; r < vocabulary.relation_count(); ++r) {
+    query.max_arity_ = std::max(query.max_arity_, vocabulary.relation(r).arity);
+  }
   return query;
 }
 
@@ -117,11 +121,14 @@ bool CompiledQuery::Eval(const AtomOracle& oracle,
     QREL_CHECK_LT(assignment[i], oracle.universe_size());
     env[i] = assignment[i];
   }
-  return EvalNode(*root_, oracle, &env);
+  // One argument buffer for every atom this evaluation reads.
+  Tuple args;
+  args.reserve(static_cast<size_t>(max_arity_));
+  return EvalNode(*root_, oracle, &env, &args);
 }
 
 bool CompiledQuery::EvalNode(const Node& node, const AtomOracle& oracle,
-                             std::vector<Element>* env) const {
+                             std::vector<Element>* env, Tuple* args) const {
   auto term_value = [&](const CompiledTerm& term) {
     return term.is_slot ? (*env)[static_cast<size_t>(term.slot)]
                         : term.constant;
@@ -132,43 +139,42 @@ bool CompiledQuery::EvalNode(const Node& node, const AtomOracle& oracle,
     case FormulaKind::kFalse:
       return false;
     case FormulaKind::kAtom: {
-      Tuple args;
-      args.reserve(node.terms.size());
+      args->clear();
       for (const CompiledTerm& term : node.terms) {
-        args.push_back(term_value(term));
+        args->push_back(term_value(term));
       }
-      return oracle.AtomTrue(node.relation, args);
+      return oracle.AtomTrue(node.relation, *args);
     }
     case FormulaKind::kEquals:
       return term_value(node.terms[0]) == term_value(node.terms[1]);
     case FormulaKind::kNot:
-      return !EvalNode(*node.children[0], oracle, env);
+      return !EvalNode(*node.children[0], oracle, env, args);
     case FormulaKind::kAnd:
       for (const std::unique_ptr<Node>& child : node.children) {
-        if (!EvalNode(*child, oracle, env)) return false;
+        if (!EvalNode(*child, oracle, env, args)) return false;
       }
       return true;
     case FormulaKind::kOr:
       for (const std::unique_ptr<Node>& child : node.children) {
-        if (EvalNode(*child, oracle, env)) return true;
+        if (EvalNode(*child, oracle, env, args)) return true;
       }
       return false;
     case FormulaKind::kImplies:
-      return !EvalNode(*node.children[0], oracle, env) ||
-             EvalNode(*node.children[1], oracle, env);
+      return !EvalNode(*node.children[0], oracle, env, args) ||
+             EvalNode(*node.children[1], oracle, env, args);
     case FormulaKind::kIff:
-      return EvalNode(*node.children[0], oracle, env) ==
-             EvalNode(*node.children[1], oracle, env);
+      return EvalNode(*node.children[0], oracle, env, args) ==
+             EvalNode(*node.children[1], oracle, env, args);
     case FormulaKind::kExists:
       for (Element value = 0; value < oracle.universe_size(); ++value) {
         (*env)[static_cast<size_t>(node.slot)] = value;
-        if (EvalNode(*node.children[0], oracle, env)) return true;
+        if (EvalNode(*node.children[0], oracle, env, args)) return true;
       }
       return false;
     case FormulaKind::kForAll:
       for (Element value = 0; value < oracle.universe_size(); ++value) {
         (*env)[static_cast<size_t>(node.slot)] = value;
-        if (!EvalNode(*node.children[0], oracle, env)) return false;
+        if (!EvalNode(*node.children[0], oracle, env, args)) return false;
       }
       return true;
   }

@@ -67,13 +67,15 @@ class CompiledQuery {
       const Formula& formula, const Vocabulary& vocabulary,
       std::vector<std::pair<std::string, int>>* scope, int* next_slot);
 
+  // `args` is the caller's scratch buffer for atom arguments.
   bool EvalNode(const Node& node, const AtomOracle& oracle,
-                std::vector<Element>* env) const;
+                std::vector<Element>* env, Tuple* args) const;
 
   FormulaPtr formula_;
   std::vector<std::string> free_variables_;
   std::unique_ptr<Node> root_;
   int slot_count_ = 0;
+  int max_arity_ = 0;  // largest relation arity: the scratch tuple's size
 };
 
 }  // namespace qrel

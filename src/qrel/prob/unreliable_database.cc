@@ -154,48 +154,6 @@ World UnreliableDatabase::SampleWorld(Rng* rng) const {
   return world;
 }
 
-void UnreliableDatabase::ForEachWorld(
-    const std::function<void(const World&, const Rational&)>& fn) const {
-  ForEachWorldWhile([&fn](const World& world, const Rational& probability) {
-    fn(world, probability);
-    return true;
-  });
-}
-
-bool UnreliableDatabase::ForEachWorldWhile(
-    const std::function<bool(const World&, const Rational&)>& fn,
-    uint64_t first_code) const {
-  size_t u = uncertain_entries_.size();
-  QREL_CHECK_MSG(u <= 62, "world enumeration over more than 62 atoms");
-
-  // Probability contributions of the uncertain entries, reused per world.
-  std::vector<Rational> mu(u);
-  std::vector<Rational> one_minus_mu(u);
-  for (size_t i = 0; i < u; ++i) {
-    mu[i] = model_.error(uncertain_entries_[i]);
-    one_minus_mu[i] = mu[i].Complement();
-  }
-
-  World world(model_.entry_count());
-  for (int id : certain_flip_entries_) {
-    world.SetFlipped(id, true);
-  }
-
-  uint64_t world_count = uint64_t{1} << u;
-  for (uint64_t code = first_code; code < world_count; ++code) {
-    Rational probability = Rational::One();
-    for (size_t i = 0; i < u; ++i) {
-      bool flipped = (code >> i) & 1u;
-      world.SetFlipped(uncertain_entries_[i], flipped);
-      probability *= flipped ? mu[i] : one_minus_mu[i];
-    }
-    if (!fn(world, probability)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 Structure UnreliableDatabase::MaterializeWorld(const World& world) const {
   QREL_CHECK_EQ(world.entry_count(), model_.entry_count());
   Structure result = observed_;

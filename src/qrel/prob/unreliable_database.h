@@ -7,13 +7,13 @@
 //   ν(𝔅) = Π_{φ ∈ Lit(𝔅)} ν(φ),   ν(R ā) = 1-μ(R ā) if 𝔄 ⊨ R ā, else μ(R ā).
 //
 // This class provides exact ν values (Rational), the Theorem 4.2 scaling
-// integer g (the least g with ν(𝔅)·g ∈ ℕ for all 𝔅), world sampling,
-// and exhaustive world enumeration for the exact algorithms.
+// integer g (a g with ν(𝔅)·g ∈ ℕ for all 𝔅) and world sampling. The exact
+// algorithms enumerate Ω(𝔇) with WorldEnumerator (world_enumerator.h),
+// which carries each world's probability as the integer g·ν(𝔅).
 
 #ifndef QREL_PROB_UNRELIABLE_DATABASE_H_
 #define QREL_PROB_UNRELIABLE_DATABASE_H_
 
-#include <functional>
 #include <vector>
 
 #include "qrel/prob/error_model.h"
@@ -100,26 +100,8 @@ class UnreliableDatabase {
   // fall back to a double-precision threshold.
   World SampleWorld(Rng* rng) const;
 
-  // Enumerates all worlds with positive probability along with their exact
-  // probabilities. Cost is Θ(2^u) with u = |UncertainEntries()|; aborts if
-  // u > 62 (the enumeration counter would overflow — and such an
-  // enumeration would never finish anyway).
-  void ForEachWorld(
-      const std::function<void(const World&, const Rational&)>& fn) const;
-
-  // Like ForEachWorld, but the callback returns false to stop early (used
-  // by budgeted/cancellable enumeration loops — see util/run_context.h).
-  // Enumeration starts at world index `first_code` (worlds are indexed by
-  // the bitmask over uncertain entries, in increasing order) — nonzero only
-  // for checkpoint resume (util/snapshot.h), which must continue the scan
-  // exactly where the interrupted run stopped. Returns true iff every
-  // remaining world was visited.
-  bool ForEachWorldWhile(
-      const std::function<bool(const World&, const Rational&)>& fn,
-      uint64_t first_code = 0) const;
-
   // Copies the observed database and applies the world's flips; for tests
-  // and materializing examples. Prefer WorldView for evaluation.
+  // and materializing examples. Prefer WorldView (world.h) for evaluation.
   Structure MaterializeWorld(const World& world) const;
 
   // FNV-1a digest of the full instance content: universe size, vocabulary

@@ -55,18 +55,65 @@ class World {
 
 class UnreliableDatabase;
 
-// AtomOracle view of one world: atom truth = observed truth XOR flip.
-// Holds references; the database and world must outlive the view.
+// The atoms that are true in at least one world: the observed facts ∪ the
+// error model's atoms, each with its observed truth and entry id (-1 for a
+// fact without an entry). Every other atom is false in every world. It is
+// an open-addressing hash table keyed by (relation, elements), with the
+// keys' elements in one flat array: memory O(facts + entries), whatever
+// n^arity is, and a lookup allocates nothing. Built once per call of an
+// exact or sampling rung; it holds a reference to the database, which must
+// outlive it and stay unchanged.
+class WorldIndex {
+ public:
+  explicit WorldIndex(const UnreliableDatabase& database);
+
+  WorldIndex(const WorldIndex&) = delete;
+  WorldIndex& operator=(const WorldIndex&) = delete;
+
+  const UnreliableDatabase& database() const { return database_; }
+
+  // Truth of R(tuple) in `world`: observed truth XOR the entry's flip.
+  // Unlike Structure::AtomTrue it does not range-check `tuple`; an atom
+  // outside the universe reads false.
+  bool AtomTrue(int relation_id, const Tuple& tuple, const World& world) const;
+
+ private:
+  struct Slot {
+    int32_t relation = -1;  // -1: empty slot
+    int32_t entry = -1;     // error-model entry id, -1 if none
+    uint32_t offset = 0;    // first key element in elements_
+    uint32_t arity = 0;
+    uint32_t hash = 0;      // high 32 bits of the key's hash
+    bool observed = false;  // observed truth in 𝔄
+  };
+
+  static uint64_t Hash(int relation_id, const Tuple& tuple);
+  // Index of the slot holding R(tuple), or of the empty slot where it
+  // would go.
+  size_t Find(int relation_id, const Tuple& tuple, uint64_t hash) const;
+  void Insert(int relation_id, const Tuple& tuple, bool observed, int entry);
+
+  const UnreliableDatabase& database_;
+  std::vector<Slot> slots_;  // power-of-two size, at most half full
+  std::vector<Element> elements_;
+  uint64_t mask_ = 0;
+};
+
+// AtomOracle view of one world over an index: atom truth = observed truth
+// XOR flip. Holds references; the index and world must outlive the view.
+// Every exact and sampled world is read through this view.
 class WorldView : public AtomOracle {
  public:
-  WorldView(const UnreliableDatabase& database, const World& world);
+  WorldView(const WorldIndex& index, const World& world);
 
   const Vocabulary& vocabulary() const override;
   int universe_size() const override;
-  bool AtomTrue(int relation_id, const Tuple& tuple) const override;
+  bool AtomTrue(int relation_id, const Tuple& tuple) const override {
+    return index_.AtomTrue(relation_id, tuple, world_);
+  }
 
  private:
-  const UnreliableDatabase& database_;
+  const WorldIndex& index_;
   const World& world_;
 };
 

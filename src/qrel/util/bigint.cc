@@ -45,6 +45,14 @@ BigInt BigInt::FromUint64(uint64_t value) {
   return result;
 }
 
+BigInt BigInt::FromUint128(Uint128 value) {
+  BigInt result;
+  for (; value != 0; value >>= 32) {
+    result.limbs_.push_back(static_cast<uint32_t>(value & 0xffffffffu));
+  }
+  return result;
+}
+
 StatusOr<BigInt> BigInt::FromDecimalString(std::string_view text) {
   if (text.empty()) {
     return Status::InvalidArgument("empty integer literal");
@@ -520,6 +528,18 @@ bool BigInt::FitsInt64() const {
   }
   return magnitude <= static_cast<uint64_t>(
                           std::numeric_limits<int64_t>::max());
+}
+
+bool BigInt::ToUint128(Uint128* out) const {
+  if (negative_ || limbs_.size() > 4) {
+    return false;
+  }
+  Uint128 value = 0;
+  for (size_t i = limbs_.size(); i-- > 0;) {
+    value = (value << 32) | limbs_[i];
+  }
+  *out = value;
+  return true;
 }
 
 int64_t BigInt::ToInt64() const {

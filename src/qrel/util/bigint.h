@@ -22,6 +22,10 @@
 
 namespace qrel {
 
+// Unsigned 128-bit integers (a GCC/Clang extension): the fixed-width
+// accumulator of exact world enumeration (prob/world_enumerator.h).
+__extension__ typedef unsigned __int128 Uint128;
+
 class BigInt {
  public:
   // Zero.
@@ -31,6 +35,7 @@ class BigInt {
   BigInt(int64_t value);
 
   static BigInt FromUint64(uint64_t value);
+  static BigInt FromUint128(Uint128 value);
   // Parses an optionally signed decimal string. Fails on empty input or
   // non-digit characters.
   static StatusOr<BigInt> FromDecimalString(std::string_view text);
@@ -97,6 +102,9 @@ class BigInt {
   int64_t ToInt64() const;
   // Whether the value fits in an int64_t.
   bool FitsInt64() const;
+  // Stores the value in *out if it is non-negative and below 2^128;
+  // returns whether it did.
+  bool ToUint128(Uint128* out) const;
 
  private:
   static std::vector<uint32_t> AddMag(const std::vector<uint32_t>& a,

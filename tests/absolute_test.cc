@@ -86,7 +86,8 @@ TEST(WitnessSearchTest, WitnessActuallyChangesTheAnswer) {
   ASSERT_FALSE(result.absolutely_reliable);
   ASSERT_TRUE(result.witness.has_value());
   // Verify the certificate: in the witness world the Boolean answer flips.
-  WorldView view(db, *result.witness);
+  WorldIndex index(db);
+  WorldView view(index, *result.witness);
   StatusOr<CompiledQuery> compiled =
       CompiledQuery::Compile(query, db.vocabulary());
   EXPECT_NE(compiled->Eval(view, {}),
@@ -158,7 +159,8 @@ TEST(MonteCarloWitnessTest, FindsObviousCounterexample) {
   EXPECT_FALSE(result.absolutely_reliable);
   ASSERT_TRUE(result.witness.has_value());
   // Verify the sampled certificate.
-  WorldView view(db, *result.witness);
+  WorldIndex index(db);
+  WorldView view(index, *result.witness);
   StatusOr<CompiledQuery> compiled =
       CompiledQuery::Compile(MustParse("S(x)"), db.vocabulary());
   bool differs = false;

@@ -98,7 +98,8 @@ TEST(Lemma59ReductionTest, WitnessIsAProperColoring) {
   const UnreliableDatabase& db = instance.database;
   int r1 = *db.vocabulary().FindRelation("R1");
   int r2 = *db.vocabulary().FindRelation("R2");
-  WorldView view(db, *result.witness);
+  WorldIndex index(db);
+  WorldView view(index, *result.witness);
   auto color = [&](int v) {
     Tuple t{static_cast<Element>(v)};
     return (view.AtomTrue(r1, t) ? 1 : 0) + (view.AtomTrue(r2, t) ? 2 : 0);

@@ -9,6 +9,7 @@
 #include "grounding_oracle.h"
 #include "qrel/logic/eval.h"
 #include "qrel/logic/parser.h"
+#include "qrel/prob/world_enumerator.h"
 
 namespace qrel {
 namespace {
@@ -185,11 +186,12 @@ TEST(GroundingTest, GroundDnfAgreesWithQueryOnEveryWorld) {
     GroundDnf dnf = *GroundExistential(prenex, db, {});
     CompiledQuery query =
         std::move(CompiledQuery::Compile(*formula, db.vocabulary())).value();
-    db.ForEachWorld([&](const World& world, const Rational&) {
-      WorldView view(db, world);
-      EXPECT_EQ(EvalGroundDnf(dnf, db, world), query.Eval(view, {}))
+    WorldEnumerator walk(db);
+    WorldView view(walk.index(), walk.world());
+    for (; !walk.done(); walk.Next()) {
+      EXPECT_EQ(EvalGroundDnf(dnf, db, walk.world()), query.Eval(view, {}))
           << text;
-    });
+    }
   }
 }
 

@@ -135,6 +135,22 @@ TEST_F(ResumeEngineTest, ExactEnumerationResumesBitIdentical) {
                       "core.exact.world:5", "resume_exact.snapshot");
 }
 
+TEST_F(ResumeEngineTest, ExactEnumerationResumesAtFirstMiddleAndLastStep) {
+  // Four uncertain entries: 16 worlds, Gray steps 0..15. The nth hit of
+  // the world fault site is step n - 1.
+  EngineOptions options;
+  options.seed = 7;
+  for (const char* spec :
+       {"core.exact.world:1", "core.exact.world:8", "core.exact.world:16"}) {
+    SCOPED_TRACE(spec);
+    RunEngineKillResume("exists x y . E(x,y) & S(y) & S(x)", options, spec,
+                        "resume_exact_steps.snapshot");
+    // An open query: a world counts every answer tuple that differs.
+    RunEngineKillResume("exists y . E(x,y) & E(y,x)", options, spec,
+                        "resume_exact_steps_open.snapshot");
+  }
+}
+
 TEST_F(ResumeEngineTest, KarpLubyRungResumesBitIdentical) {
   EngineOptions options;
   options.seed = 7;
@@ -177,6 +193,18 @@ TEST_F(ResumeEngineTest, DatalogExactResumesBitIdentical) {
   options.seed = 7;
   RunEngineKillResume("Path", options, "datalog.exact.world:3",
                       "resume_datalog_exact.snapshot", /*datalog=*/true);
+}
+
+TEST_F(ResumeEngineTest, DatalogExactResumesAtFirstMiddleAndLastStep) {
+  EngineOptions options;
+  options.seed = 7;
+  for (const char* spec : {"datalog.exact.world:1", "datalog.exact.world:8",
+                           "datalog.exact.world:16"}) {
+    SCOPED_TRACE(spec);
+    RunEngineKillResume("Path", options, spec,
+                        "resume_datalog_exact_steps.snapshot",
+                        /*datalog=*/true);
+  }
 }
 
 TEST_F(ResumeEngineTest, DatalogPaddedResumesBitIdentical) {
@@ -299,6 +327,76 @@ TEST_F(ResumeEngineTest, KarpLubyV1SnapshotIsLeftUnconsumed) {
     EXPECT_EQ(ctx.work_spent(), baseline_ctx.work_spent());
   }
   std::remove(path.c_str());
+}
+
+// Kills an exact engine run at `fault_spec`, relabels its snapshot from
+// `kind` to `old_kind` under the same fingerprint, and checks that the next
+// run leaves it unconsumed and equals a clean run.
+void ExpectOldExactSnapshotUnconsumed(const std::string& query,
+                                      const std::string& fault_spec,
+                                      const std::string& kind,
+                                      const std::string& old_kind,
+                                      const std::string& snapshot_name,
+                                      bool datalog) {
+  ReliabilityEngine engine(MakeDatabase());
+  auto run = [&](RunContext* ctx) {
+    EngineOptions options;
+    options.seed = 7;
+    options.run_context = ctx;
+    return datalog ? engine.RunDatalog(kDatalogProgram, query, options)
+                   : engine.Run(query, options);
+  };
+  RunContext baseline_ctx;
+  StatusOr<EngineReport> baseline = run(&baseline_ctx);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+
+  std::string path = SnapshotPath(snapshot_name);
+  {
+    Checkpointer checkpointer(path, std::chrono::milliseconds(0));
+    ASSERT_TRUE(checkpointer.LoadForResume().ok());
+    ASSERT_TRUE(ArmFaultFromSpec(fault_spec).ok());
+    RunContext ctx;
+    ctx.SetCheckpointer(&checkpointer);
+    ASSERT_FALSE(run(&ctx).ok());
+    EXPECT_GT(checkpointer.writes(), 0u);
+    FaultInjector::Instance().Reset();
+  }
+  {
+    StatusOr<SnapshotData> snapshot = ReadSnapshotFile(path);
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+    ASSERT_EQ(snapshot->kind, kind);
+    snapshot->kind = old_kind;  // same fingerprint
+    ASSERT_TRUE(WriteSnapshotFile(path, *snapshot).ok());
+  }
+  {
+    Checkpointer checkpointer(path, std::chrono::milliseconds(0));
+    ASSERT_TRUE(checkpointer.LoadForResume().ok());
+    ASSERT_TRUE(checkpointer.has_resume());
+    RunContext ctx;
+    ctx.SetCheckpointer(&checkpointer);
+    StatusOr<EngineReport> report = run(&ctx);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_FALSE(checkpointer.resume_consumed());
+    ExpectIdenticalReports(*report, *baseline);
+    EXPECT_EQ(ctx.work_spent(), baseline_ctx.work_spent());
+  }
+  std::remove(path.c_str());
+}
+
+TEST_F(ResumeEngineTest, CoreExactV1SnapshotIsLeftUnconsumed) {
+  // Kind v2 walks the worlds in Gray-code order and checkpoints an integer
+  // sum; a v1 snapshot (bitmask order, Rational sum) names a position v2
+  // cannot continue from, even under a matching fingerprint.
+  ExpectOldExactSnapshotUnconsumed("exists x y . E(x,y) & S(y) & S(x)",
+                                   "core.exact.world:5", "core.exact.v2",
+                                   "core.exact.v1", "resume_exact_v1.snapshot",
+                                   /*datalog=*/false);
+}
+
+TEST_F(ResumeEngineTest, DatalogExactV1SnapshotIsLeftUnconsumed) {
+  ExpectOldExactSnapshotUnconsumed(
+      "Path", "datalog.exact.world:5", "datalog.exact.v2", "datalog.exact.v1",
+      "resume_datalog_exact_v1.snapshot", /*datalog=*/true);
 }
 
 TEST_F(ResumeEngineTest, NaiveMcLoopResumesMidSample) {

@@ -1,4 +1,5 @@
 #include "qrel/prob/unreliable_database.h"
+#include "qrel/prob/world_enumerator.h"
 
 #include <map>
 #include <memory>
@@ -64,15 +65,17 @@ TEST(UnreliableDatabaseTest, WorldProbabilitiesSumToOne) {
   db.SetErrorProbability(GroundAtom{1, {1}}, Rational(1, 7));
   db.SetErrorProbability(GroundAtom{1, {2}}, Rational(2, 5));
 
-  Rational total;
+  // The integer weights g·ν(𝔅) sum to g, and weight/g is ν(𝔅).
+  BigInt total;
   int worlds = 0;
-  db.ForEachWorld([&](const World& world, const Rational& probability) {
+  for (WorldEnumerator walk(db); !walk.done(); walk.Next()) {
     ++worlds;
-    total += probability;
-    EXPECT_EQ(probability, db.WorldProbability(world));
-  });
+    total += walk.Weight();
+    EXPECT_EQ(Rational(walk.Weight(), walk.g()),
+              db.WorldProbability(walk.world()));
+  }
   EXPECT_EQ(worlds, 8);
-  EXPECT_TRUE(total.IsOne());
+  EXPECT_EQ(total, db.ComputeG());
 }
 
 TEST(UnreliableDatabaseTest, CertainFlipsAppearInEveryWorld) {
@@ -80,10 +83,10 @@ TEST(UnreliableDatabaseTest, CertainFlipsAppearInEveryWorld) {
   int flip_id = db.SetErrorProbability(GroundAtom{1, {0}}, Rational(1));
   db.SetErrorProbability(GroundAtom{1, {1}}, Rational(1, 2));
 
-  db.ForEachWorld([&](const World& world, const Rational& probability) {
-    EXPECT_TRUE(world.Flipped(flip_id));
-    EXPECT_EQ(probability, Rational(1, 2));
-  });
+  for (WorldEnumerator walk(db); !walk.done(); walk.Next()) {
+    EXPECT_TRUE(walk.world().Flipped(flip_id));
+    EXPECT_EQ(Rational(walk.Weight(), walk.g()), Rational(1, 2));
+  }
 }
 
 TEST(UnreliableDatabaseTest, ComputeGIsProductOfDenominators) {
@@ -108,12 +111,13 @@ TEST(UnreliableDatabaseTest, PaperGcdLoopIsInsufficientErratum) {
   BigInt paper_g = db.ComputeGPaperLcm();
   EXPECT_EQ(paper_g.ToInt64(), 84);
   bool paper_g_sufficient = true;
-  db.ForEachWorld([&](const World&, const Rational& probability) {
-    Rational scaled = probability * Rational(paper_g, BigInt(1));
+  for (WorldEnumerator walk(db); !walk.done(); walk.Next()) {
+    Rational scaled = db.WorldProbability(walk.world()) *
+                      Rational(paper_g, BigInt(1));
     if (!scaled.denominator().IsOne()) {
       paper_g_sufficient = false;
     }
-  });
+  }
   EXPECT_FALSE(paper_g_sufficient);
 }
 
@@ -124,10 +128,12 @@ TEST(UnreliableDatabaseTest, GScalesEveryWorldProbabilityToAnInteger) {
   db.SetErrorProbability(GroundAtom{0, {1, 2}}, Rational(3, 7));
   db.SetErrorProbability(GroundAtom{1, {0}}, Rational(1, 6));
   BigInt g = db.ComputeG();
-  db.ForEachWorld([&](const World&, const Rational& probability) {
-    Rational scaled = probability * Rational(g, BigInt(1));
+  for (WorldEnumerator walk(db); !walk.done(); walk.Next()) {
+    Rational scaled =
+        db.WorldProbability(walk.world()) * Rational(g, BigInt(1));
     EXPECT_TRUE(scaled.denominator().IsOne()) << scaled.ToString();
-  });
+    EXPECT_EQ(scaled, Rational(walk.Weight(), BigInt(1)));
+  }
 }
 
 TEST(UnreliableDatabaseTest, ComputeGWithNoEntriesIsOne) {
@@ -149,7 +155,8 @@ TEST(UnreliableDatabaseTest, MaterializeWorldAppliesFlips) {
   EXPECT_TRUE(actual.AtomTrue(1, {1}));
 
   // WorldView agrees with the materialized structure on every atom.
-  WorldView view(db, world);
+  WorldIndex index(db);
+  WorldView view(index, world);
   for (Element i = 0; i < 3; ++i) {
     EXPECT_EQ(view.AtomTrue(1, {i}), actual.AtomTrue(1, {i}));
     for (Element j = 0; j < 3; ++j) {
@@ -188,12 +195,13 @@ TEST(UnreliableDatabaseTest, SampledWorldDistributionMatchesEnumeration) {
     World world = db.SampleWorld(&rng);
     counts[{world.Flipped(0), world.Flipped(1)}]++;
   }
-  db.ForEachWorld([&](const World& world, const Rational& probability) {
-    double expected = probability.ToDouble();
+  for (WorldEnumerator walk(db); !walk.done(); walk.Next()) {
+    double expected = Rational(walk.Weight(), walk.g()).ToDouble();
+    const World& world = walk.world();
     double actual =
         counts[{world.Flipped(0), world.Flipped(1)}] / double{trials};
     EXPECT_NEAR(actual, expected, 0.015);
-  });
+  }
 }
 
 TEST(WorldTest, FlipCountAndEquality) {
