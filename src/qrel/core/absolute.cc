@@ -5,9 +5,40 @@
 #include "qrel/logic/eval.h"
 #include "qrel/prob/world_enumerator.h"
 #include "qrel/util/check.h"
-#include "qrel/util/snapshot.h"
+#include "qrel/util/governed_loop.h"
 
 namespace qrel {
+
+namespace {
+
+// ψ^𝔄 on every answer tuple, fixed once, and the Lemma 5.8 certificate
+// check against it.
+class ObservedAnswer {
+ public:
+  ObservedAnswer(const CompiledQuery& query, const UnreliableDatabase& db)
+      : query_(query), tuples_(AllTuples(db.universe_size(), query.arity())) {
+    for (const Tuple& tuple : tuples_) {
+      truth_.push_back(query.Eval(db.observed(), tuple) ? 1 : 0);
+    }
+  }
+
+  // Whether ψ(ā) in `world` differs from ψ^𝔄(ā) for some tuple ā.
+  bool DiffersIn(const AtomOracle& world) const {
+    for (size_t i = 0; i < tuples_.size(); ++i) {
+      if (query_.Eval(world, tuples_[i]) != (truth_[i] != 0)) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+ private:
+  const CompiledQuery& query_;
+  std::vector<Tuple> tuples_;
+  std::vector<uint8_t> truth_;
+};
+
+}  // namespace
 
 StatusOr<bool> AbsolutelyReliableQuantifierFree(const FormulaPtr& query,
                                                 const UnreliableDatabase& db) {
@@ -30,32 +61,15 @@ StatusOr<AbsoluteReliabilityResult> AbsoluteReliabilityByWitness(
         "witness search over more than 2^62 worlds");
   }
 
-  int n = db.universe_size();
-  int k = compiled->arity();
-
-  // ψ^𝔄 once.
-  std::vector<Tuple> tuples;
-  std::vector<uint8_t> observed_truth;
-  {
-    Tuple assignment(static_cast<size_t>(k), 0);
-    do {
-      tuples.push_back(assignment);
-      observed_truth.push_back(
-          compiled->Eval(db.observed(), assignment) ? 1 : 0);
-    } while (AdvanceTuple(&assignment, n));
-  }
-
+  ObservedAnswer observed(*compiled, db);
   AbsoluteReliabilityResult result;
   WorldEnumerator walk(db);
   WorldView view(walk.index(), walk.world());
   for (; !walk.done(); walk.Next()) {
     ++result.worlds_checked;
-    for (size_t i = 0; i < tuples.size(); ++i) {
-      if (compiled->Eval(view, tuples[i]) != (observed_truth[i] != 0)) {
-        result.absolutely_reliable = false;
-        result.witness = walk.world();
-        return result;
-      }
+    if (observed.DiffersIn(view)) {
+      result.witness = walk.world();
+      return result;
     }
   }
   result.absolutely_reliable = true;
@@ -76,17 +90,7 @@ StatusOr<AbsoluteReliabilityResult> AbsoluteReliabilityMonteCarlo(
   int n = db.universe_size();
   int k = compiled->arity();
 
-  std::vector<Tuple> tuples;
-  std::vector<uint8_t> observed_truth;
-  {
-    Tuple assignment(static_cast<size_t>(k), 0);
-    do {
-      tuples.push_back(assignment);
-      observed_truth.push_back(
-          compiled->Eval(db.observed(), assignment) ? 1 : 0);
-    } while (AdvanceTuple(&assignment, n));
-  }
-
+  ObservedAnswer observed(*compiled, db);
   Fingerprint fingerprint;
   fingerprint.Mix("core.absolute_mc")
       .Mix(seed)
@@ -96,43 +100,37 @@ StatusOr<AbsoluteReliabilityResult> AbsoluteReliabilityMonteCarlo(
       .Mix(static_cast<uint64_t>(db.model().entry_count()))
       .Mix(query->ToString())
       .Mix(db.ContentFingerprint());
-  CheckpointScope checkpoint(ctx, "core.absolute_mc.v1", fingerprint.value());
+  GovernedLoop loop(ctx, {.kind = "core.absolute_mc.v1",
+                          .fingerprint = fingerprint.value()});
 
   Rng rng(seed);
   WorldIndex index(db);
   AbsoluteReliabilityResult result;
-  uint64_t start = 0;
-  {
-    std::optional<SnapshotReader> resume;
-    QREL_RETURN_IF_ERROR(checkpoint.TakeResume(&resume));
-    if (resume.has_value()) {
-      QREL_RETURN_IF_ERROR(resume->U64(&start));
-      QREL_RETURN_IF_ERROR(resume->U64(&result.worlds_checked));
-      QREL_RETURN_IF_ERROR(resume->RngState(&rng));
-      QREL_RETURN_IF_ERROR(resume->ExpectEnd());
-    }
-  }
-  for (uint64_t s = start; s < samples; ++s) {
-    QREL_RETURN_IF_ERROR(checkpoint.MaybeCheckpoint([&](SnapshotWriter& w) {
-      w.U64(s);
-      w.U64(result.worlds_checked);
-      w.RngState(rng);
-    }));
-    QREL_RETURN_IF_ERROR(ChargeWork(ctx));
-    World world = db.SampleWorld(&rng);
-    ++result.worlds_checked;
-    WorldView view(index, world);
-    for (size_t i = 0; i < tuples.size(); ++i) {
-      if (compiled->Eval(view, tuples[i]) != (observed_truth[i] != 0)) {
-        result.absolutely_reliable = false;
-        result.witness = std::move(world);
-        return result;
-      }
-    }
-  }
-  // No counterexample sampled; inconclusive but reported as "reliable so
+  uint64_t drawn = 0;
+  QREL_RETURN_IF_ERROR(loop.Resume([&](SnapshotReader& r) -> Status {
+    QREL_RETURN_IF_ERROR(r.U64(&drawn));
+    QREL_RETURN_IF_ERROR(r.U64(&result.worlds_checked));
+    return r.RngState(&rng);
+  }));
+  QREL_RETURN_IF_ERROR(loop.Run(
+      &drawn, samples,
+      [&]() -> Status {
+        World world = db.SampleWorld(&rng);
+        ++result.worlds_checked;
+        if (observed.DiffersIn(WorldView(index, world))) {
+          result.witness = std::move(world);
+          loop.Stop();
+        }
+        return Status::Ok();
+      },
+      [&](SnapshotWriter& w) {
+        w.U64(drawn);
+        w.U64(result.worlds_checked);
+        w.RngState(rng);
+      }));
+  // No counterexample sampled: inconclusive, but reported as "reliable so
   // far" (see the header comment and Lemma 5.10).
-  result.absolutely_reliable = true;
+  result.absolutely_reliable = !result.witness.has_value();
   return result;
 }
 

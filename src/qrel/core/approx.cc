@@ -11,8 +11,7 @@
 #include "qrel/propositional/dnf.h"
 #include "qrel/propositional/karp_luby.h"
 #include "qrel/util/check.h"
-#include "qrel/util/fault_injection.h"
-#include "qrel/util/snapshot.h"
+#include "qrel/util/governed_loop.h"
 
 namespace qrel {
 
@@ -218,8 +217,12 @@ StatusOr<ApproxResult> ReliabilityAbsoluteApprox(
   // that is where a long run spends its time, and the only place a drain
   // cancellation or SIGINT can flush usable progress. With more than one
   // tuple the per-tuple accumulators must own the snapshot.
-  CheckpointScope checkpoint(*tuple_count > 1 ? options.run_context : nullptr,
-                             "core.absolute_approx.v2", fingerprint.value());
+  GovernedLoop loop(
+      options.run_context,
+      {.kind = "core.absolute_approx.v2",
+       .fingerprint = fingerprint.value(),
+       .fault_site = "core.approx.tuple",
+       .claim = *tuple_count > 1});
 
   Rng seeder(options.seed);
   double expected_error = 0.0;
@@ -227,61 +230,57 @@ StatusOr<ApproxResult> ReliabilityAbsoluteApprox(
   bool truncated = false;
   double worst_sub_epsilon = 0.0;  // worst per-tuple achieved (relative) ε
   Tuple assignment(static_cast<size_t>(k), 0);
-  {
-    std::optional<SnapshotReader> resume;
-    QREL_RETURN_IF_ERROR(checkpoint.TakeResume(&resume));
-    if (resume.has_value()) {
-      Tuple saved;
-      QREL_RETURN_IF_ERROR(resume->TupleVal(&saved));
-      if (saved.size() != assignment.size()) {
-        return Status::DataLoss("snapshot tuple arity mismatch");
+  uint64_t done = 0;  // tuples finished: the odometer rank of `assignment`
+  QREL_RETURN_IF_ERROR(loop.Resume([&](SnapshotReader& r) -> Status {
+    QREL_RETURN_IF_ERROR(r.TupleVal(&assignment));
+    if (assignment.size() != static_cast<size_t>(k)) {
+      return Status::DataLoss("snapshot tuple arity mismatch");
+    }
+    for (Element element : assignment) {
+      if (element < 0 || element >= n) {
+        return Status::DataLoss("snapshot tuple element out of range");
       }
-      for (Element element : saved) {
-        if (element < 0 || element >= n) {
-          return Status::DataLoss("snapshot tuple element out of range");
+      done = done * static_cast<uint64_t>(n) + static_cast<uint64_t>(element);
+    }
+    QREL_RETURN_IF_ERROR(r.Double(&expected_error));
+    QREL_RETURN_IF_ERROR(r.U64(&samples));
+    uint8_t truncated_byte = 0;
+    QREL_RETURN_IF_ERROR(r.U8(&truncated_byte));
+    truncated = truncated_byte != 0;
+    QREL_RETURN_IF_ERROR(r.Double(&worst_sub_epsilon));
+    return r.RngState(&seeder);
+  }));
+  QREL_RETURN_IF_ERROR(loop.Run(
+      &done, *tuple_count,
+      [&]() -> Status {
+        per_tuple.seed = seeder.NextUint64();
+        StatusOr<ApproxResult> nu =
+            FptrasFromPrenex(*prenex, db, assignment, per_tuple);
+        if (!nu.ok()) {
+          return nu.status();
         }
-      }
-      QREL_RETURN_IF_ERROR(resume->Double(&expected_error));
-      QREL_RETURN_IF_ERROR(resume->U64(&samples));
-      uint8_t truncated_byte = 0;
-      QREL_RETURN_IF_ERROR(resume->U8(&truncated_byte));
-      truncated = truncated_byte != 0;
-      QREL_RETURN_IF_ERROR(resume->Double(&worst_sub_epsilon));
-      QREL_RETURN_IF_ERROR(resume->RngState(&seeder));
-      QREL_RETURN_IF_ERROR(resume->ExpectEnd());
-      assignment = std::move(saved);
-    }
-  }
-  do {
-    // Checkpoint before charging so the resumed run re-charges this tuple
-    // and the work counter continues exactly.
-    QREL_RETURN_IF_ERROR(checkpoint.MaybeCheckpoint([&](SnapshotWriter& w) {
-      w.TupleVal(assignment);
-      w.Double(expected_error);
-      w.U64(samples);
-      w.U8(truncated ? 1 : 0);
-      w.Double(worst_sub_epsilon);
-      w.RngState(seeder);
-    }));
-    QREL_RETURN_IF_ERROR(ChargeWork(options.run_context));
-    QREL_FAULT_SITE("core.approx.tuple");
-    per_tuple.seed = seeder.NextUint64();
-    StatusOr<ApproxResult> nu =
-        FptrasFromPrenex(*prenex, db, assignment, per_tuple);
-    if (!nu.ok()) {
-      return nu.status();
-    }
-    samples += nu->samples;
-    truncated = truncated || nu->truncated;
-    if (nu->achieved_epsilon.has_value()) {
-      worst_sub_epsilon = std::max(worst_sub_epsilon, *nu->achieved_epsilon);
-    }
-    bool observed = compiled->Eval(db.observed(), assignment);
-    // nu estimates Pr[target(ā)]; translate into Pr[ψ(ā) wrong].
-    double prob_true =
-        universal ? 1.0 - nu->estimate : nu->estimate;  // Pr[𝔅 ⊨ ψ(ā)]
-    expected_error += observed ? 1.0 - prob_true : prob_true;
-  } while (AdvanceTuple(&assignment, n));
+        samples += nu->samples;
+        truncated = truncated || nu->truncated;
+        if (nu->achieved_epsilon.has_value()) {
+          worst_sub_epsilon =
+              std::max(worst_sub_epsilon, *nu->achieved_epsilon);
+        }
+        bool observed = compiled->Eval(db.observed(), assignment);
+        // nu estimates Pr[target(ā)]; translate into Pr[ψ(ā) wrong].
+        double prob_true =
+            universal ? 1.0 - nu->estimate : nu->estimate;  // Pr[𝔅 ⊨ ψ(ā)]
+        expected_error += observed ? 1.0 - prob_true : prob_true;
+        AdvanceTuple(&assignment, n);
+        return Status::Ok();
+      },
+      [&](SnapshotWriter& w) {
+        w.TupleVal(assignment);
+        w.Double(expected_error);
+        w.U64(samples);
+        w.U8(truncated ? 1 : 0);
+        w.Double(worst_sub_epsilon);
+        w.RngState(seeder);
+      }));
 
   ApproxResult result;
   result.samples = samples;
@@ -302,136 +301,169 @@ StatusOr<ApproxResult> ReliabilityAbsoluteApprox(
   return result;
 }
 
-StatusOr<ApproxResult> PaddedReliabilityApprox(const FormulaPtr& query,
-                                               const UnreliableDatabase& db,
-                                               const ApproxOptions& options) {
+StatusOr<ApproxResult> PaddedEstimate(const UnreliableDatabase& db,
+                                      const PaddedQuery& query,
+                                      const ApproxOptions& options) {
   QREL_RETURN_IF_ERROR(ValidateCommonOptions(options));
   if (options.xi <= 0.0 || options.xi >= 0.5) {
     return Status::InvalidArgument("xi must lie in (0, 1/2)");
   }
+  if (options.fixed_samples == uint64_t{0}) {
+    return Status::InvalidArgument("padded estimator needs at least 1 sample");
+  }
+  int n = db.universe_size();
+  StatusOr<uint64_t> tuple_count = TupleCount(n, query.arity);
+  if (!tuple_count.ok()) {
+    return tuple_count.status();
+  }
+  const double tuples_d = static_cast<double>(*tuple_count);
+  const double xi = options.xi;
+  double per_delta = options.delta / tuples_d;
+  // Lemma 5.11 is applied with ε/2 (the proof's final step).
+  uint64_t bound =
+      PaddedSampleBound(xi, options.epsilon / tuples_d / 2.0, per_delta);
+  uint64_t planned = options.fixed_samples.value_or(bound);
+
+  Fingerprint fingerprint;
+  fingerprint.Mix(query.kind)
+      .Mix(query.text)
+      .Mix(options.seed)
+      .Mix(static_cast<uint64_t>(n))
+      .Mix(static_cast<uint64_t>(query.arity))
+      .MixDouble(xi)
+      .Mix(planned)
+      .Mix(static_cast<uint64_t>(db.model().entry_count()))
+      .Mix(db.ContentFingerprint());
+  // Worlds are shared by every tuple's counter, so a prefix of the samples
+  // is a valid smaller sample for all of them: truncation is sound.
+  GovernedLoop loop(options.run_context,
+                    {.kind = query.kind,
+                     .fingerprint = fingerprint.value(),
+                     .fault_site = query.fault_site,
+                     .allow_truncation = options.allow_truncation});
+
+  std::vector<Tuple> tuples = AllTuples(n, query.arity);
+  std::vector<const Tuple*> asked;
+  asked.reserve(tuples.size());
+  for (const Tuple& t : tuples) {
+    asked.push_back(&t);
+  }
+  // ψ^𝔄, evaluated once the loop holds the checkpointer claim, so a
+  // fixpoint inside `holds` stays inert.
+  std::vector<uint8_t> holds(tuples.size(), 0);
+  QREL_RETURN_IF_ERROR(query.holds(db.observed(), asked, &holds));
+  const std::vector<uint8_t> observed = holds;
+
+  Rng rng(options.seed);
+  WorldIndex index(db);
+  std::vector<uint64_t> hits(tuples.size(), 0);
+  std::vector<size_t> by_rc;  // this sample's tuples with Rd ∧ Rc
+  by_rc.reserve(tuples.size());
+  uint64_t drawn = 0;
+  QREL_RETURN_IF_ERROR(loop.Resume([&](SnapshotReader& r) -> Status {
+    QREL_RETURN_IF_ERROR(r.U64(&drawn));
+    uint32_t hit_count = 0;
+    QREL_RETURN_IF_ERROR(r.U32(&hit_count));
+    if (hit_count != hits.size()) {
+      return Status::DataLoss("snapshot hit-counter count mismatch");
+    }
+    for (uint64_t& h : hits) {
+      QREL_RETURN_IF_ERROR(r.U64(&h));
+    }
+    return r.RngState(&rng);
+  }));
+  // X = ψ'(𝔅') with ψ' = (ψ ∨ Rc) ∧ Rd over the padded database: the two
+  // fresh atoms Rc, Rd are virtual — each an independent Bernoulli(ξ)
+  // draw, since R is empty in 𝔄' and μ'(Rc) = μ'(Rd) = ξ. Per sample each
+  // tuple draws Rd, then Rc only when Rd, in odometer order; one world is
+  // drawn, and ψ evaluated, only for the tuples with Rd ∧ ¬Rc.
+  QREL_RETURN_IF_ERROR(loop.Run(
+      &drawn, planned,
+      [&]() -> Status {
+        by_rc.clear();
+        asked.clear();  // this sample's tuples with Rd ∧ ¬Rc
+        for (size_t i = 0; i < tuples.size(); ++i) {
+          if (!rng.NextBernoulli(xi)) {
+            continue;  // ¬Rd: ψ' is false whatever ψ evaluates to
+          }
+          if (rng.NextBernoulli(xi)) {
+            by_rc.push_back(i);
+          } else {
+            asked.push_back(&tuples[i]);
+          }
+        }
+        if (!asked.empty()) {
+          World world = db.SampleWorld(&rng);
+          QREL_RETURN_IF_ERROR(
+              query.holds(WorldView(index, world), asked, &holds));
+        }
+        // Committed only now that the sample's evaluation succeeded.
+        for (size_t i : by_rc) {
+          ++hits[i];
+        }
+        for (size_t j = 0; j < asked.size(); ++j) {
+          hits[static_cast<size_t>(asked[j] - tuples.data())] += holds[j];
+        }
+        return Status::Ok();
+      },
+      [&](SnapshotWriter& w) {
+        w.U64(drawn);
+        w.U32(static_cast<uint32_t>(hits.size()));
+        for (uint64_t h : hits) {
+          w.U64(h);
+        }
+        w.RngState(rng);
+      }));
+
+  double expected_error = 0.0;
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    double x_bar = static_cast<double>(hits[i]) / static_cast<double>(drawn);
+    // Invert p = ν(ψ)·(ξ-ξ²) + ξ² (equation (3) in the proof).
+    double nu = std::clamp((x_bar - xi * xi) / (xi - xi * xi), 0.0, 1.0);
+    expected_error += observed[i] != 0 ? 1.0 - nu : nu;
+  }
+  ApproxResult result;
+  result.samples = drawn;
+  result.truncated = loop.truncated();
+  if (drawn < bound) {
+    // Fewer samples than the theorem bound (fixed_samples or truncation):
+    // report the guarantee they buy, scaled back up through the per-tuple
+    // split.
+    result.achieved_epsilon =
+        PaddedAchievedEpsilon(xi, drawn, per_delta) * tuples_d;
+  }
+  result.estimate = std::clamp(1.0 - expected_error / tuples_d, 0.0, 1.0);
+  return result;
+}
+
+StatusOr<ApproxResult> PaddedReliabilityApprox(const FormulaPtr& query,
+                                               const UnreliableDatabase& db,
+                                               const ApproxOptions& options) {
   StatusOr<CompiledQuery> compiled =
       CompiledQuery::Compile(query, db.vocabulary());
   if (!compiled.ok()) {
     return compiled.status();
   }
-  int n = db.universe_size();
-  int k = compiled->arity();
-  StatusOr<uint64_t> tuple_count = TupleCount(n, k);
-  if (!tuple_count.ok()) {
-    return tuple_count.status();
+  std::string text = query->ToString();
+  StatusOr<ApproxResult> result = PaddedEstimate(
+      db,
+      {.arity = compiled->arity(),
+       .kind = "core.padded.v2",
+       .text = text,
+       .fault_site = "core.approx.padded_sample",
+       .holds =
+           [&](const AtomOracle& world, const std::vector<const Tuple*>& asked,
+               std::vector<uint8_t>* holds) {
+             for (size_t j = 0; j < asked.size(); ++j) {
+               (*holds)[j] = compiled->Eval(world, *asked[j]) ? 1 : 0;
+             }
+             return Status::Ok();
+           }},
+      options);
+  if (result.ok()) {
+    result->method =
+        "Thm 5.12 padded estimator (xi=" + std::to_string(options.xi) + ")";
   }
-
-  double per_epsilon = options.epsilon / static_cast<double>(*tuple_count);
-  double per_delta = options.delta / static_cast<double>(*tuple_count);
-  // Lemma 5.11 is applied with ε/2 (the proof's final step).
-  uint64_t per_samples =
-      options.fixed_samples.has_value()
-          ? *options.fixed_samples
-          : PaddedSampleBound(options.xi, per_epsilon / 2.0, per_delta);
-
-  Fingerprint fingerprint;
-  fingerprint.Mix("core.padded")
-      .Mix(options.seed)
-      .Mix(static_cast<uint64_t>(n))
-      .Mix(static_cast<uint64_t>(k))
-      .MixDouble(options.xi)
-      .Mix(per_samples)
-      .Mix(static_cast<uint64_t>(db.model().entry_count()))
-      .Mix(query->ToString())
-      .Mix(db.ContentFingerprint());
-  CheckpointScope checkpoint(options.run_context, "core.padded.v1",
-                             fingerprint.value());
-
-  const double xi = options.xi;
-  Rng rng(options.seed);
-  WorldIndex index(db);
-  double expected_error = 0.0;
-  uint64_t samples = 0;
-  Tuple assignment(static_cast<size_t>(k), 0);
-  // Mid-tuple resume state: the inner sample loop restarts at resume_s
-  // with resume_hits already accumulated (both zero after the first tuple).
-  uint64_t resume_s = 0;
-  uint64_t resume_hits = 0;
-  {
-    std::optional<SnapshotReader> resume;
-    QREL_RETURN_IF_ERROR(checkpoint.TakeResume(&resume));
-    if (resume.has_value()) {
-      Tuple saved;
-      QREL_RETURN_IF_ERROR(resume->TupleVal(&saved));
-      if (saved.size() != assignment.size()) {
-        return Status::DataLoss("snapshot tuple arity mismatch");
-      }
-      for (Element element : saved) {
-        if (element < 0 || element >= n) {
-          return Status::DataLoss("snapshot tuple element out of range");
-        }
-      }
-      QREL_RETURN_IF_ERROR(resume->U64(&resume_s));
-      QREL_RETURN_IF_ERROR(resume->U64(&resume_hits));
-      QREL_RETURN_IF_ERROR(resume->U64(&samples));
-      QREL_RETURN_IF_ERROR(resume->Double(&expected_error));
-      QREL_RETURN_IF_ERROR(resume->RngState(&rng));
-      QREL_RETURN_IF_ERROR(resume->ExpectEnd());
-      assignment = std::move(saved);
-    }
-  }
-  do {
-    bool observed = compiled->Eval(db.observed(), assignment);
-    // X_i = ψ'(𝔅') with ψ' = (ψ ∨ Rc) ∧ Rd over the padded database: the
-    // two fresh atoms Rc, Rd are virtual — each is an independent
-    // Bernoulli(ξ) draw, since R is empty in 𝔄' and μ'(Rc) = μ'(Rd) = ξ.
-    uint64_t hits = resume_hits;
-    for (uint64_t s = resume_s; s < per_samples; ++s) {
-      QREL_RETURN_IF_ERROR(checkpoint.MaybeCheckpoint([&](SnapshotWriter& w) {
-        w.TupleVal(assignment);
-        w.U64(s);
-        w.U64(hits);
-        w.U64(samples);
-        w.Double(expected_error);
-        w.RngState(rng);
-      }));
-      QREL_RETURN_IF_ERROR(ChargeWork(options.run_context));
-      QREL_FAULT_SITE("core.approx.padded_sample");
-      bool rd = rng.NextBernoulli(xi);
-      if (!rd) {
-        continue;  // ψ' is false whatever ψ evaluates to
-      }
-      bool rc = rng.NextBernoulli(xi);
-      bool psi_true = rc;
-      if (!psi_true) {
-        World world = db.SampleWorld(&rng);
-        WorldView view(index, world);
-        psi_true = compiled->Eval(view, assignment);
-      }
-      if (psi_true) {
-        ++hits;
-      }
-    }
-    resume_s = 0;
-    resume_hits = 0;
-    samples += per_samples;
-    double x_bar = static_cast<double>(hits) / static_cast<double>(per_samples);
-    // Invert p = ν(ψ)·(ξ-ξ²) + ξ² (equation (3) in the proof).
-    double nu = (x_bar - xi * xi) / (xi - xi * xi);
-    nu = std::clamp(nu, 0.0, 1.0);
-    expected_error += observed ? 1.0 - nu : nu;
-  } while (AdvanceTuple(&assignment, n));
-
-  ApproxResult result;
-  result.samples = samples;
-  if (per_samples > 0 &&
-      per_samples <
-          PaddedSampleBound(options.xi, per_epsilon / 2.0, per_delta)) {
-    // fixed_samples below the theorem bound: report the guarantee the
-    // budget actually buys, scaled back up through the per-tuple split.
-    result.achieved_epsilon =
-        PaddedAchievedEpsilon(options.xi, per_samples, per_delta) *
-        static_cast<double>(*tuple_count);
-  }
-  result.estimate =
-      1.0 - expected_error / static_cast<double>(*tuple_count);
-  result.estimate = std::clamp(result.estimate, 0.0, 1.0);
-  result.method = "Thm 5.12 padded estimator (xi=" + std::to_string(xi) + ")";
   return result;
 }
 

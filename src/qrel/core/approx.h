@@ -17,8 +17,11 @@
 #define QREL_CORE_APPROX_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "qrel/logic/ast.h"
 #include "qrel/prob/unreliable_database.h"
@@ -48,17 +51,18 @@ struct ApproxOptions {
   // tripped envelope aborts the computation with the budget status.
   RunContext* run_context = nullptr;
 
-  // For single-estimate paths (Boolean queries): when the envelope trips
-  // mid-sampling with at least one sample drawn, return the running
-  // estimate marked `truncated` instead of failing. Never applies to
-  // cancellation, and never to multi-tuple loops (a partially covered
-  // tuple space is not a usable estimate).
+  // When the envelope trips mid-sampling with at least one sample drawn,
+  // return the running estimate marked `truncated` instead of failing.
+  // Applies to Boolean Cor 5.5 and to the padded estimator (its samples
+  // serve every tuple); never to cancellation, nor to Cor 5.5's k-ary
+  // loop (a partially covered tuple space is not a usable estimate).
   bool allow_truncation = false;
 };
 
 struct ApproxResult {
   double estimate = 0.0;
-  // Total samples drawn across all Boolean sub-estimates.
+  // Samples drawn: summed over Cor 5.5's Boolean sub-estimates; for the
+  // padded estimator the per-tuple count t (each sample serves all tuples).
   uint64_t samples = 0;
   // Human-readable description of the algorithm that ran.
   std::string method;
@@ -89,10 +93,39 @@ StatusOr<ApproxResult> ReliabilityAbsoluteApprox(const FormulaPtr& query,
 // Absolute-error approximation of R_ψ for any first-order ψ
 // (Theorem 5.12). The estimator never grounds the query; it samples worlds
 // and evaluates ψ directly, so it applies to every polynomial-time
-// evaluable query.
+// evaluable query. PaddedEstimate under kind "core.padded.v2".
 StatusOr<ApproxResult> PaddedReliabilityApprox(const FormulaPtr& query,
                                                const UnreliableDatabase& db,
                                                const ApproxOptions& options);
+
+// What a Theorem 5.12 caller supplies: the arity k, its snapshot kind,
+// the query or program text (fingerprinted), its per-sample fault site,
+// and `holds`, which sets (*holds)[j] to whether tuples[j] holds in
+// `world` (an error fails the sample).
+struct PaddedQuery {
+  int arity = 0;
+  std::string_view kind;
+  std::string_view text;
+  const char* fault_site = nullptr;
+  std::function<Status(const AtomOracle& world,
+                       const std::vector<const Tuple*>& tuples,
+                       std::vector<uint8_t>* holds)>
+      holds;
+};
+
+// The one Theorem 5.12 estimator of R for a k-ary query: t governed
+// samples (util/governed_loop.h), each shared by all n^k tuple counters.
+// Per sample each tuple, in odometer order, draws Rd, then Rc only if Rd;
+// one world is drawn, and `holds` asked, only for the tuples with Rd ∧ ¬Rc,
+// and the sample's hits are committed once that succeeds. Each tuple's
+// estimate is Lemma 5.11's at (ε/n^k, δ/n^k); the union bound does not
+// care that tuples share samples, and because they do, a prefix of the
+// samples is a valid smaller sample: allow_truncation applies at any k.
+// `holds` also evaluates the observed database, after the loop claims the
+// checkpointer. kInvalidArgument on bad ε, δ, ξ or fixed_samples = 0.
+StatusOr<ApproxResult> PaddedEstimate(const UnreliableDatabase& db,
+                                      const PaddedQuery& query,
+                                      const ApproxOptions& options);
 
 // Theorem 5.12's sample bound t(ξ, ε, δ) = ⌈9/(2 ξ ε²) ln(1/δ)⌉ (the ε
 // here is the one handed to Lemma 5.11, i.e. half the user's ε).

@@ -13,16 +13,6 @@ namespace qrel {
 
 namespace {
 
-// All tuples of arity `k` over {0..n-1}, in lexicographic order.
-std::vector<Tuple> AllTuples(int n, int k) {
-  std::vector<Tuple> result;
-  Tuple tuple(static_cast<size_t>(k), 0);
-  do {
-    result.push_back(tuple);
-  } while (AdvanceTuple(&tuple, n));
-  return result;
-}
-
 Rational TupleSpaceSize(int n, int k) {
   return Rational(BigInt::Pow(BigInt(n), static_cast<uint32_t>(k)), BigInt(1));
 }
@@ -101,7 +91,7 @@ StatusOr<WorldSum> WeightWhereTrue(const FormulaPtr& query,
         "exact probability would enumerate more than 2^62 worlds");
   }
   return SumOverWorlds(
-      db, BigInt(1), nullptr, nullptr, nullptr,
+      db, BigInt(1), nullptr,
       [&](const AtomOracle& world) -> StatusOr<uint64_t> {
         return compiled->Eval(world, assignment) ? 1 : 0;
       });
@@ -138,11 +128,13 @@ StatusOr<ReliabilityReport> ExactReliability(const FormulaPtr& query,
       .Mix(static_cast<uint64_t>(db.UncertainEntries().size()))
       .Mix(query->ToString())
       .Mix(db.ContentFingerprint());
-  CheckpointScope checkpoint(ctx, "core.exact.v2", fingerprint.value());
+  GovernedLoop loop(
+      ctx, {.kind = "core.exact.v2",
+            .fingerprint = fingerprint.value(),
+            .fault_site = "core.exact.world"});
 
   StatusOr<WorldSum> sum = SumOverWorlds(
-      db, BigInt::FromUint64(tuples.size()), &checkpoint, ctx,
-      [] { return QREL_FAULT_HIT("core.exact.world"); },
+      db, BigInt::FromUint64(tuples.size()), &loop,
       [&](const AtomOracle& world) -> StatusOr<uint64_t> {
         uint64_t differing = 0;
         for (size_t i = 0; i < tuples.size(); ++i) {
@@ -282,7 +274,7 @@ StatusOr<ReliabilityReport> ExactSecondOrderReliability(
   }
 
   StatusOr<WorldSum> sum = SumOverWorlds(
-      db, BigInt(1), nullptr, nullptr, nullptr,
+      db, BigInt(1), nullptr,
       [&](const AtomOracle& world) -> StatusOr<uint64_t> {
         StatusOr<bool> actual = eval(world);
         QREL_CHECK(actual.ok());  // feasibility was established above

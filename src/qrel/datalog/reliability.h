@@ -31,15 +31,14 @@ StatusOr<ReliabilityReport> ExactDatalogReliability(
     const CompiledDatalog& program, const std::string& predicate,
     const UnreliableDatabase& db, RunContext* ctx = nullptr);
 
-// Theorem 5.12 estimator for Datalog: samples worlds, evaluates the
-// program on each, and applies the ξ-padding inversion per answer tuple.
-// Worlds are shared across tuples (each per-tuple estimate stays unbiased
-// and Lemma 5.11 applies marginally; the union bound over tuples is
-// unaffected by correlation). Absolute error `options.epsilon` on R with
-// probability ≥ 1 − options.delta. Respects options.run_context (one unit
-// per sampled world); because worlds are shared across tuples, a prefix of
-// completed worlds is usable for every tuple, so options.allow_truncation
-// applies here even for k-ary predicates.
+// Theorem 5.12 estimator for Datalog: PaddedEstimate (core/approx.h)
+// under kind "datalog.padded.v2", evaluating the program on each sampled
+// world. Samples are shared across answer tuples (each per-tuple estimate
+// stays unbiased and the union bound is unaffected by correlation), so a
+// prefix of them is usable for every tuple and options.allow_truncation
+// applies even for k-ary predicates. Absolute error `options.epsilon` on R
+// with probability ≥ 1 − options.delta. Charges options.run_context one
+// unit per sample plus the fixpoint's own charges.
 StatusOr<ApproxResult> PaddedDatalogReliability(
     const CompiledDatalog& program, const std::string& predicate,
     const UnreliableDatabase& db, const ApproxOptions& options);

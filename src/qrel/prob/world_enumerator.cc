@@ -1,7 +1,6 @@
 #include "qrel/prob/world_enumerator.h"
 
 #include <bit>
-#include <optional>
 
 #include "qrel/util/check.h"
 
@@ -131,52 +130,47 @@ void WorldEnumerator::Add(uint64_t count, WeightSum* sum) const {
 }
 
 StatusOr<WorldSum> SumOverWorlds(const UnreliableDatabase& db,
-                                 const BigInt& max_count,
-                                 CheckpointScope* checkpoint, RunContext* ctx,
-                                 const std::function<Status()>& fault_site,
+                                 const BigInt& max_count, GovernedLoop* loop,
                                  const WorldCount& count) {
+  GovernedLoop ungoverned(nullptr, {});
+  if (loop == nullptr) {
+    loop = &ungoverned;
+  }
   WorldEnumerator walk(db);
   WeightSum sum = walk.NewSum(max_count);
-  uint64_t worlds = 0;
-  if (checkpoint != nullptr) {
-    std::optional<SnapshotReader> resume;
-    QREL_RETURN_IF_ERROR(checkpoint->TakeResume(&resume));
-    if (resume.has_value()) {
-      uint64_t step = 0;
-      BigInt weighted;
-      QREL_RETURN_IF_ERROR(resume->U64(&step));
-      QREL_RETURN_IF_ERROR(resume->BigIntVal(&weighted));
-      QREL_RETURN_IF_ERROR(resume->U64(&worlds));
-      QREL_RETURN_IF_ERROR(resume->ExpectEnd());
-      if (step > walk.world_count() || worlds != step ||
-          weighted.IsNegative() || weighted > walk.g() * max_count) {
-        return Status::DataLoss("snapshot world step or sum out of range");
-      }
-      walk.Seek(step);
-      sum.Set(std::move(weighted));
+  uint64_t step = 0;
+  QREL_RETURN_IF_ERROR(loop->Resume([&](SnapshotReader& r) -> Status {
+    BigInt weighted;
+    uint64_t worlds = 0;
+    QREL_RETURN_IF_ERROR(r.U64(&step));
+    QREL_RETURN_IF_ERROR(r.BigIntVal(&weighted));
+    QREL_RETURN_IF_ERROR(r.U64(&worlds));
+    if (step > walk.world_count() || worlds != step ||
+        weighted.IsNegative() || weighted > walk.g() * max_count) {
+      return Status::DataLoss("snapshot world step or sum out of range");
     }
-  }
+    walk.Seek(step);
+    sum.Set(std::move(weighted));
+    return Status::Ok();
+  }));
   WorldView view(walk.index(), walk.world());
-  for (; !walk.done(); walk.Next()) {
-    if (checkpoint != nullptr) {
-      QREL_RETURN_IF_ERROR(checkpoint->MaybeCheckpoint([&](SnapshotWriter& w) {
-        w.U64(walk.step());
+  QREL_RETURN_IF_ERROR(loop->Run(
+      &step, walk.world_count(),
+      [&]() -> Status {
+        StatusOr<uint64_t> counted = count(view);
+        if (!counted.ok()) {
+          return counted.status();
+        }
+        walk.Add(*counted, &sum);
+        walk.Next();
+        return Status::Ok();
+      },
+      [&](SnapshotWriter& w) {
+        w.U64(step);
         w.BigIntVal(sum.Value());
-        w.U64(worlds);
+        w.U64(step);  // worlds visited: one per step
       }));
-    }
-    QREL_RETURN_IF_ERROR(ChargeWork(ctx));
-    if (fault_site) {
-      QREL_RETURN_IF_ERROR(fault_site());
-    }
-    ++worlds;
-    StatusOr<uint64_t> counted = count(view);
-    if (!counted.ok()) {
-      return counted.status();
-    }
-    walk.Add(*counted, &sum);
-  }
-  return WorldSum{sum.Value(), walk.g(), worlds};
+  return WorldSum{sum.Value(), walk.g(), step};
 }
 
 }  // namespace qrel

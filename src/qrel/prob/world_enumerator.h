@@ -30,8 +30,7 @@
 #include "qrel/prob/unreliable_database.h"
 #include "qrel/prob/world.h"
 #include "qrel/util/bigint.h"
-#include "qrel/util/run_context.h"
-#include "qrel/util/snapshot.h"
+#include "qrel/util/governed_loop.h"
 #include "qrel/util/status.h"
 
 namespace qrel {
@@ -119,17 +118,13 @@ struct WorldSum {
   uint64_t worlds = 0;  // worlds visited, those before a resume included
 };
 
-// The Theorem 4.2 loop of every exact rung that sums over worlds. Each
-// world gets, in this order: `checkpoint`->MaybeCheckpoint, ChargeWork(ctx),
-// `fault_site`, then `count`; so a resumed run re-charges the world it
-// stopped at and its work counter continues without a gap. The snapshot
-// payload is (Gray step, weighted sum, worlds). Null `checkpoint`, `ctx`
-// and an empty `fault_site` are skipped. Every count must be at most
-// `max_count`, which picks the accumulator's width.
+// The Theorem 4.2 loop of every exact rung that sums over worlds: one
+// governed step per world (util/governed_loop.h), whose body is `count`.
+// The snapshot payload is (Gray step, weighted sum, worlds). A null `loop`
+// runs ungoverned. Every count must be at most `max_count`, which picks
+// the accumulator's width.
 StatusOr<WorldSum> SumOverWorlds(const UnreliableDatabase& db,
-                                 const BigInt& max_count,
-                                 CheckpointScope* checkpoint, RunContext* ctx,
-                                 const std::function<Status()>& fault_site,
+                                 const BigInt& max_count, GovernedLoop* loop,
                                  const WorldCount& count);
 
 }  // namespace qrel

@@ -140,16 +140,6 @@ BernoulliThreshold::BernoulliThreshold(const Rational& p) {
   }
 }
 
-PropAssignment SampleAssignment(const std::vector<Rational>& prob_true,
-                                Rng* rng) {
-  QREL_CHECK(rng != nullptr);
-  PropAssignment assignment(prob_true.size(), 0);
-  for (size_t i = 0; i < prob_true.size(); ++i) {
-    assignment[i] = BernoulliThreshold(prob_true[i]).Draw(rng) ? 1 : 0;
-  }
-  return assignment;
-}
-
 void MixDnfContent(const Dnf& dnf, const std::vector<Rational>& prob_true,
                    Fingerprint* fp) {
   QREL_CHECK(fp != nullptr);

@@ -106,11 +106,6 @@ class BernoulliThreshold {
   double probability_ = 0.0;
 };
 
-// Draws an assignment from the product distribution given by `prob_true`,
-// one BernoulliThreshold draw per variable in index order.
-PropAssignment SampleAssignment(const std::vector<Rational>& prob_true,
-                                Rng* rng);
-
 class Fingerprint;
 
 // Mixes the full instance content — every term's literals and every

@@ -4,8 +4,7 @@
 #include <cmath>
 
 #include "qrel/util/check.h"
-#include "qrel/util/fault_injection.h"
-#include "qrel/util/snapshot.h"
+#include "qrel/util/governed_loop.h"
 
 namespace qrel {
 
@@ -99,8 +98,11 @@ StatusOr<KarpLubyResult> KarpLubyProbability(
                : uint64_t{0})
       .MixDouble(total_weight);
   MixDnfContent(dnf, prob_true, &fingerprint);
-  CheckpointScope checkpoint(options.run_context, "propositional.karp_luby.v2",
-                             fingerprint.value());
+  GovernedLoop loop(options.run_context,
+                    {.kind = "propositional.karp_luby.v2",
+                     .fingerprint = fingerprint.value(),
+                     .fault_site = "propositional.karp_luby.sample",
+                     .allow_truncation = options.allow_truncation});
 
   // The variables some term mentions, dead terms included, in ascending
   // order: the only ones any term reads. Nothing else is drawn, so padding
@@ -125,32 +127,12 @@ StatusOr<KarpLubyResult> KarpLubyProbability(
   PropAssignment assignment(static_cast<size_t>(dnf.variable_count()), 0);
   double sum = 0.0;
   uint64_t drawn = 0;
-  {
-    std::optional<SnapshotReader> resume;
-    QREL_RETURN_IF_ERROR(checkpoint.TakeResume(&resume));
-    if (resume.has_value()) {
-      QREL_RETURN_IF_ERROR(resume->U64(&drawn));
-      QREL_RETURN_IF_ERROR(resume->Double(&sum));
-      QREL_RETURN_IF_ERROR(resume->RngState(&rng));
-      QREL_RETURN_IF_ERROR(resume->ExpectEnd());
-    }
-  }
-  for (uint64_t s = drawn; s < samples; ++s) {
-    QREL_FAULT_SITE("propositional.karp_luby.sample");
-    if (options.run_context != nullptr) {
-      Status budget = options.run_context->Charge();
-      if (!budget.ok()) {
-        // A prefix of the zero-one sample sequence is still an unbiased
-        // estimator; keep it when the caller opted in (never for an
-        // explicit cancellation).
-        if (options.allow_truncation && drawn > 0 &&
-            budget.code() != StatusCode::kCancelled) {
-          result.truncated = true;
-          break;
-        }
-        return budget;
-      }
-    }
+  QREL_RETURN_IF_ERROR(loop.Resume([&](SnapshotReader& r) -> Status {
+    QREL_RETURN_IF_ERROR(r.U64(&drawn));
+    QREL_RETURN_IF_ERROR(r.Double(&sum));
+    return r.RngState(&rng);
+  }));
+  auto sample = [&]() -> Status {
     // Pick a term with probability proportional to its weight.
     double u = rng.NextDouble() * total_weight;
     size_t pick =
@@ -183,14 +165,16 @@ StatusOr<KarpLubyResult> KarpLubyProbability(
       QREL_CHECK_GT(covered, 0);  // the sampled term is satisfied
       sum += 1.0 / covered;
     }
-    ++drawn;
-    QREL_RETURN_IF_ERROR(checkpoint.MaybeCheckpoint([&](SnapshotWriter& w) {
-      w.U64(drawn);
-      w.Double(sum);
-      w.RngState(rng);
-    }));
-  }
+    return Status::Ok();
+  };
+  QREL_RETURN_IF_ERROR(
+      loop.Run(&drawn, samples, sample, [&](SnapshotWriter& w) {
+        w.U64(drawn);
+        w.Double(sum);
+        w.RngState(rng);
+      }));
 
+  result.truncated = loop.truncated();
   result.samples = drawn;
   result.estimate = total_weight * sum / static_cast<double>(drawn);
   // Probabilities cannot exceed 1; the estimator can (slightly).

@@ -20,6 +20,15 @@ bool AdvanceTuple(Tuple* tuple, int universe_size) {
   return false;
 }
 
+std::vector<Tuple> AllTuples(int n, int k) {
+  std::vector<Tuple> result;
+  Tuple tuple(static_cast<size_t>(k), 0);
+  do {
+    result.push_back(tuple);
+  } while (AdvanceTuple(&tuple, n));
+  return result;
+}
+
 Structure::Structure(std::shared_ptr<const Vocabulary> vocabulary,
                      int universe_size)
     : vocabulary_(std::move(vocabulary)), universe_size_(universe_size) {

@@ -30,6 +30,9 @@ using Tuple = std::vector<Element>;
 // call returns false.
 bool AdvanceTuple(Tuple* tuple, int universe_size);
 
+// All tuples of arity `k` over {0..n-1}, in odometer order.
+std::vector<Tuple> AllTuples(int n, int k);
+
 // Read access to the ground-atom truth values of one database or world.
 class AtomOracle {
  public:

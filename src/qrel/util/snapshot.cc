@@ -535,30 +535,26 @@ Status CheckpointScope::TakeResume(std::optional<SnapshotReader>* reader) {
   return Status::Ok();
 }
 
+bool CheckpointScope::CheckpointDue() const {
+  if (checkpointer_ == nullptr) {
+    return false;
+  }
+  // Both trip checks are O(1) loads — deadline expiry is left to the
+  // interval writes, which already consult the clock.
+  if (ctx_ != nullptr &&
+      (ctx_->cancellation_requested() ||
+       (ctx_->has_work_budget() && ctx_->work_remaining() == 0))) {
+    return true;
+  }
+  MutexLock lock(&checkpointer_->mu_);
+  return !checkpointer_->last_write_.has_value() ||
+         Checkpointer::Clock::now() - *checkpointer_->last_write_ >=
+             checkpointer_->interval_;
+}
+
 Status CheckpointScope::MaybeCheckpoint(
     const std::function<void(SnapshotWriter&)>& fill) {
-  if (checkpointer_ == nullptr) {
-    return Status::Ok();
-  }
-  // A pending cooperative cancellation (SIGINT in qrel_cli, a server
-  // drain) or an exhausted work budget means the very next Charge() ends
-  // this run: flush a final checkpoint at this safe point regardless of
-  // the interval, so the interrupted run loses no progress. Both checks
-  // are O(1) loads — deadline expiry is left to the interval writes, which
-  // already consult the clock.
-  bool trip_pending =
-      ctx_ != nullptr &&
-      (ctx_->cancellation_requested() ||
-       (ctx_->has_work_budget() && ctx_->work_remaining() == 0));
-  if (!trip_pending) {
-    MutexLock lock(&checkpointer_->mu_);
-    if (checkpointer_->last_write_.has_value() &&
-        Checkpointer::Clock::now() - *checkpointer_->last_write_ <
-            checkpointer_->interval_) {
-      return Status::Ok();
-    }
-  }
-  return CheckpointNow(fill);
+  return CheckpointDue() ? CheckpointNow(fill) : Status::Ok();
 }
 
 Status CheckpointScope::CheckpointNow(

@@ -246,7 +246,8 @@ class Checkpointer {
 };
 
 // RAII claim on a RunContext's Checkpointer. Constructed by every
-// checkpointable loop; active only for the outermost one (and only when a
+// checkpointable loop (through util/governed_loop.h, or directly by the
+// Datalog fixpoint); active only for the outermost one (and only when a
 // checkpointer is attached at all), inert otherwise — all methods on an
 // inert scope are cheap no-ops.
 class CheckpointScope {
@@ -276,14 +277,13 @@ class CheckpointScope {
   // resuming — or silently discarding it — would both be wrong.
   Status TakeResume(std::optional<SnapshotReader>* reader);
 
-  // Writes a checkpoint when the interval has elapsed (always, for a zero
-  // interval). Also writes when the RunContext has a cancellation pending
-  // or its work budget is already spent — the next Charge() ends the run,
-  // so this is the last safe point and the final state is flushed instead
-  // of losing everything since the previous interval write (the qrel_cli
-  // SIGINT and server-drain paths rely on this). `fill` serializes the
-  // loop state into the payload. Safe to call from tight loops: the
-  // inert/not-due paths are a few compares and relaxed loads.
+  // Whether an active scope should write now: the interval has elapsed
+  // (always, for a zero interval), or the RunContext has a cancellation
+  // pending or its work budget spent — the next Charge() ends the run, so
+  // the final state is flushed at this last safe point (the qrel_cli
+  // SIGINT and server-drain paths rely on this). Inert: one compare.
+  bool CheckpointDue() const;
+  // CheckpointNow(fill) when CheckpointDue(); `fill` writes the payload.
   Status MaybeCheckpoint(const std::function<void(SnapshotWriter&)>& fill);
 
   // Writes unconditionally (scope entry/exit, stratum boundaries).

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <memory>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -268,6 +269,104 @@ TEST(PaddedTest, XiAblationAllValuesConverge) {
     ApproxResult result = *PaddedReliabilityApprox(query, db, options);
     EXPECT_NEAR(result.estimate, exact, 0.03) << "xi = " << xi;
   }
+}
+
+TEST(PaddedTest, ZeroFixedSamplesIsInvalidArgument) {
+  // Zero samples used to divide 0 by 0 and report a NaN reliability.
+  UnreliableDatabase db = SmallDatabase();
+  ApproxOptions options;
+  options.fixed_samples = 0;
+  for (const std::string text :
+       {"forall x . exists y . E(x,y) | S(x)", "forall y . E(x, y)"}) {
+    StatusOr<ApproxResult> result =
+        PaddedReliabilityApprox(MustParse(text), db, options);
+    ASSERT_FALSE(result.ok()) << text;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+}
+
+TEST(PaddedTest, BooleanEstimatesArePinned) {
+  // The padded estimator's Boolean sample stream (Rd, then Rc if Rd, then
+  // one world if Rd ∧ ¬Rc) is fixed: these are the estimates of the
+  // earlier per-tuple estimator, bit for bit.
+  struct Golden {
+    const char* query;
+    uint64_t seed;
+    double estimate;
+  };
+  const Golden kGolden[] = {
+      {"exists x . S(x)", 3, 0x1.89374bc6a7ef9p-1},
+      {"exists x . S(x)", 808, 0x1.b4e81b4e81b4fp-1},
+      {"forall x . S(x) -> (exists y . E(x, y))", 3, 0x1.645a1cac08313p-1},
+      {"forall x . S(x) -> (exists y . E(x, y))", 808, 0x1.7619f0fb38a95p-1},
+      {"forall x . exists y . E(x,y) | S(x)", 3, 0x1.c131d5acb6f46p-1},
+      {"forall x . exists y . E(x,y) | S(x)", 808, 0x1.b38a94d242e6cp-1},
+  };
+  UnreliableDatabase db = SmallDatabase();
+  for (const Golden& golden : kGolden) {
+    ApproxOptions options;
+    options.seed = golden.seed;
+    options.epsilon = 0.1;
+    options.fixed_samples = 2000;
+    StatusOr<ApproxResult> result =
+        PaddedReliabilityApprox(MustParse(golden.query), db, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->estimate, golden.estimate)
+        << golden.query << " seed " << golden.seed;
+    EXPECT_EQ(result->samples, 2000u);
+  }
+}
+
+TEST(PaddedTest, WorkBudgetTruncatesAnOpenQuery) {
+  // Every sample serves all n^k tuples, so a prefix of samples is a usable
+  // estimate at any arity.
+  UnreliableDatabase db = SmallDatabase();
+  FormulaPtr query = MustParse("forall y . E(x, y) -> (exists z . E(y, z))");
+  RunContext ctx = RunContext::WithWorkBudget(500);
+  ApproxOptions options;
+  options.epsilon = 0.2;
+  options.delta = 0.1;
+  options.run_context = &ctx;
+  options.allow_truncation = true;
+  uint64_t planned = PaddedSampleBound(options.xi, options.epsilon / 3 / 2.0,
+                                       options.delta / 3);
+  StatusOr<ApproxResult> result = PaddedReliabilityApprox(query, db, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->truncated);
+  EXPECT_EQ(result->samples, 500u);
+  EXPECT_LT(result->samples, planned);
+  ASSERT_TRUE(result->achieved_epsilon.has_value());
+  EXPECT_EQ(*result->achieved_epsilon,
+            PaddedAchievedEpsilon(options.xi, 500, options.delta / 3) * 3);
+  EXPECT_GE(result->estimate, 0.0);
+  EXPECT_LE(result->estimate, 1.0);
+
+  RunContext strict = RunContext::WithWorkBudget(500);
+  options.run_context = &strict;
+  options.allow_truncation = false;
+  result = PaddedReliabilityApprox(query, db, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+}
+
+TEST(PaddedTest, CancellationNeverTruncates) {
+  UnreliableDatabase db = SmallDatabase();
+  RunContext ctx;  // unlimited: only cancellation can stop it
+  ApproxOptions options;
+  options.run_context = &ctx;
+  options.allow_truncation = true;
+  options.fixed_samples = uint64_t{1} << 40;
+  std::thread canceller([&ctx] {
+    while (ctx.work_spent() < 1000) {
+      std::this_thread::yield();
+    }
+    ctx.RequestCancellation();
+  });
+  StatusOr<ApproxResult> result =
+      PaddedReliabilityApprox(MustParse("forall y . E(x, y)"), db, options);
+  canceller.join();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
 }
 
 TEST(ApproxTest, DeterministicForFixedSeed) {

@@ -1,10 +1,12 @@
 #include <memory>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "qrel/datalog/eval.h"
 #include "qrel/datalog/program.h"
 #include "qrel/datalog/reliability.h"
+#include "qrel/logic/parser.h"
 #include "qrel/util/rng.h"
 
 namespace qrel {
@@ -232,6 +234,39 @@ TEST(DatalogReliabilityTest, PaddedEstimatorMatchesExact) {
   ApproxResult estimate =
       *PaddedDatalogReliability(program, "Path", db, options);
   EXPECT_NEAR(estimate.estimate, exact, 0.03);
+}
+
+TEST(DatalogReliabilityTest, PaddedEstimateEqualsTheCoreEstimator) {
+  // One estimator behind both front ends: a query and a one-rule program
+  // with the same answers give the same padded estimate, bit for bit.
+  UnreliableDatabase db = UnreliablePathGraph();
+  db.SetErrorProbability(GroundAtom{1, {2}}, Rational(1, 5));
+  for (const auto& [formula, rule] :
+       {std::pair{"E(x,y)", "Q(x, y) :- E(x, y)."},
+        std::pair{"Node(x) & !E(x,x)", "Q(x) :- Node(x), !E(x, x)."}}) {
+    SCOPED_TRACE(formula);
+    CompiledDatalog program =
+        std::move(CompiledDatalog::Compile(*ParseDatalogProgram(rule),
+                                           db.vocabulary()))
+            .value();
+    for (uint64_t seed : {uint64_t{21}, uint64_t{22}}) {
+      ApproxOptions options;
+      options.seed = seed;
+      options.epsilon = 0.3;
+      options.delta = 0.2;
+      options.fixed_samples = 400;
+      StatusOr<ApproxResult> core =
+          PaddedReliabilityApprox(*ParseFormula(formula), db, options);
+      StatusOr<ApproxResult> datalog =
+          PaddedDatalogReliability(program, "Q", db, options);
+      ASSERT_TRUE(core.ok()) << core.status().ToString();
+      ASSERT_TRUE(datalog.ok()) << datalog.status().ToString();
+      EXPECT_EQ(core->estimate, datalog->estimate);
+      EXPECT_EQ(core->samples, 400u);
+      EXPECT_EQ(datalog->samples, 400u);
+      EXPECT_EQ(core->achieved_epsilon, datalog->achieved_epsilon);
+    }
+  }
 }
 
 TEST(DatalogReliabilityTest, NegationStratumReliability) {

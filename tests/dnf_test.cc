@@ -66,12 +66,18 @@ TEST(DnfTest, TermProbabilityIsProductOfLiteralProbabilities) {
 }
 
 TEST(DnfTest, SampleAssignmentMatchesProbabilities) {
+  // One BernoulliThreshold draw per variable in index order, the way the
+  // naive Monte Carlo sampler draws its assignments.
   std::vector<Rational> prob = {Rational(1, 4), Rational(1), Rational(0)};
+  std::vector<BernoulliThreshold> thresholds(prob.begin(), prob.end());
   Rng rng(99);
   int hits0 = 0;
   const int trials = 20000;
   for (int i = 0; i < trials; ++i) {
-    PropAssignment a = SampleAssignment(prob, &rng);
+    PropAssignment a(prob.size(), 0);
+    for (size_t v = 0; v < prob.size(); ++v) {
+      a[v] = thresholds[v].Draw(&rng) ? 1 : 0;
+    }
     hits0 += a[0];
     EXPECT_EQ(a[1], 1);
     EXPECT_EQ(a[2], 0);

@@ -83,6 +83,24 @@ TEST(EngineTest, ForcedApproximationUsesThm512ForGeneralQueries) {
   EXPECT_NEAR(report.reliability, exact.reliability, 3 * options.epsilon);
 }
 
+TEST(EngineBudgetTest, GeneralQueryTruncatesInsteadOfFallingToReserve) {
+  // A budget trip mid-way through the Thm 5.12 rung keeps the samples
+  // already drawn: the answer is partial, not the ungoverned reserve run.
+  ReliabilityEngine engine = MakeEngine();
+  RunContext ctx = RunContext::WithWorkBudget(300);
+  EngineOptions options;
+  options.run_context = &ctx;
+  options.force_approximate = true;
+  options.reserve_samples = 7;
+  StatusOr<EngineReport> report =
+      engine.Run("forall x . S(x) -> (exists y . E(x, y))", options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_NE(report->method.find("Thm 5.12"), std::string::npos);
+  EXPECT_TRUE(report->partial);
+  EXPECT_EQ(report->samples, 300u);
+  ASSERT_TRUE(report->achieved_epsilon.has_value());
+}
+
 TEST(EngineTest, ObservedAnswersIncluded) {
   ReliabilityEngine engine = MakeEngine();
   EngineReport report = *engine.Run("S(x)");
@@ -336,6 +354,21 @@ TEST(EngineDatalogTest, WorkBudgetDegradesToPaddedEstimator) {
   EXPECT_NE(report->method.find("Thm 5.12"), std::string::npos)
       << report->method;
   EXPECT_GE(report->budget_spent, 64u);
+}
+
+TEST(EngineTest, ZeroFixedSamplesIsRejected) {
+  // Zero padded samples used to come back OK with a NaN reliability.
+  ReliabilityEngine engine = MakeEngine();
+  EngineOptions options;
+  options.force_approximate = true;
+  options.fixed_samples = 0;
+  StatusOr<EngineReport> report =
+      engine.Run("forall x . exists y . E(x,y) | S(x)", options);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  report = engine.RunDatalog(kTcProgram, "Path", options);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(EngineDatalogTest, ErrorsPropagate) {

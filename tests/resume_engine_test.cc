@@ -188,6 +188,24 @@ TEST_F(ResumeEngineTest, PaddedEstimatorResumesBitIdentical) {
                       "resume_padded.snapshot");
 }
 
+TEST_F(ResumeEngineTest, OpenPaddedQueryResumesMidSample) {
+  // Arity 1: each sample serves all three tuples, and the kill lands in
+  // the middle of the shared sample stream.
+  EngineOptions options;
+  options.seed = 7;
+  options.force_approximate = true;
+  options.epsilon = 0.3;
+  options.delta = 0.3;
+  options.fixed_samples = 64;
+  for (const char* spec :
+       {"core.approx.padded_sample:1", "core.approx.padded_sample:30",
+        "core.approx.padded_sample:64"}) {
+    SCOPED_TRACE(spec);
+    RunEngineKillResume("forall y . E(x,y) -> (exists z . E(y,z))", options,
+                        spec, "resume_padded_open.snapshot");
+  }
+}
+
 TEST_F(ResumeEngineTest, DatalogExactResumesBitIdentical) {
   EngineOptions options;
   options.seed = 7;
@@ -329,19 +347,26 @@ TEST_F(ResumeEngineTest, KarpLubyV1SnapshotIsLeftUnconsumed) {
   std::remove(path.c_str());
 }
 
-// Kills an exact engine run at `fault_spec`, relabels its snapshot from
-// `kind` to `old_kind` under the same fingerprint, and checks that the next
-// run leaves it unconsumed and equals a clean run.
-void ExpectOldExactSnapshotUnconsumed(const std::string& query,
-                                      const std::string& fault_spec,
-                                      const std::string& kind,
-                                      const std::string& old_kind,
-                                      const std::string& snapshot_name,
-                                      bool datalog) {
+// Kills an engine run at `fault_spec`, relabels its snapshot from `kind`
+// to `old_kind` under the same fingerprint, and checks that the next run
+// leaves it unconsumed and equals a clean run. `approximate` forces the
+// sampling rung (64 fixed samples) instead of exact enumeration.
+void ExpectOldSnapshotUnconsumed(const std::string& query,
+                                 const std::string& fault_spec,
+                                 const std::string& kind,
+                                 const std::string& old_kind,
+                                 const std::string& snapshot_name,
+                                 bool datalog, bool approximate = false) {
   ReliabilityEngine engine(MakeDatabase());
   auto run = [&](RunContext* ctx) {
     EngineOptions options;
     options.seed = 7;
+    if (approximate) {
+      options.force_approximate = true;
+      options.epsilon = 0.3;
+      options.delta = 0.3;
+      options.fixed_samples = 64;
+    }
     options.run_context = ctx;
     return datalog ? engine.RunDatalog(kDatalogProgram, query, options)
                    : engine.Run(query, options);
@@ -387,16 +412,35 @@ TEST_F(ResumeEngineTest, CoreExactV1SnapshotIsLeftUnconsumed) {
   // Kind v2 walks the worlds in Gray-code order and checkpoints an integer
   // sum; a v1 snapshot (bitmask order, Rational sum) names a position v2
   // cannot continue from, even under a matching fingerprint.
-  ExpectOldExactSnapshotUnconsumed("exists x y . E(x,y) & S(y) & S(x)",
-                                   "core.exact.world:5", "core.exact.v2",
-                                   "core.exact.v1", "resume_exact_v1.snapshot",
-                                   /*datalog=*/false);
+  ExpectOldSnapshotUnconsumed("exists x y . E(x,y) & S(y) & S(x)",
+                              "core.exact.world:5", "core.exact.v2",
+                              "core.exact.v1", "resume_exact_v1.snapshot",
+                              /*datalog=*/false);
 }
 
 TEST_F(ResumeEngineTest, DatalogExactV1SnapshotIsLeftUnconsumed) {
-  ExpectOldExactSnapshotUnconsumed(
+  ExpectOldSnapshotUnconsumed(
       "Path", "datalog.exact.world:5", "datalog.exact.v2", "datalog.exact.v1",
       "resume_datalog_exact_v1.snapshot", /*datalog=*/true);
+}
+
+TEST_F(ResumeEngineTest, CorePaddedV1SnapshotIsLeftUnconsumed) {
+  // Kind v2 shares each sample across the tuples of an open query; a v1
+  // snapshot (one tuple's samples at a time) names a position v2 cannot
+  // continue from, even under a matching fingerprint.
+  ExpectOldSnapshotUnconsumed("forall x . exists y . E(x,y) | S(x)",
+                              "core.approx.padded_sample:7", "core.padded.v2",
+                              "core.padded.v1", "resume_padded_v1.snapshot",
+                              /*datalog=*/false, /*approximate=*/true);
+}
+
+TEST_F(ResumeEngineTest, DatalogPaddedV1SnapshotIsLeftUnconsumed) {
+  // v1 drew one world per sample before the padding bits; v2 draws the
+  // padding bits first and a world only when some tuple needs it.
+  ExpectOldSnapshotUnconsumed(
+      "Path", "datalog.padded.world:5", "datalog.padded.v2",
+      "datalog.padded.v1", "resume_datalog_padded_v1.snapshot",
+      /*datalog=*/true, /*approximate=*/true);
 }
 
 TEST_F(ResumeEngineTest, NaiveMcLoopResumesMidSample) {
