@@ -23,9 +23,9 @@ class ObservedAnswer {
   }
 
   // Whether ψ(ā) in `world` differs from ψ^𝔄(ā) for some tuple ā.
-  bool DiffersIn(const AtomOracle& world) const {
+  bool DiffersIn(const AtomOracle& world) {
     for (size_t i = 0; i < tuples_.size(); ++i) {
-      if (query_.Eval(world, tuples_[i]) != (truth_[i] != 0)) {
+      if (query_.Eval(world, tuples_[i], &scratch_) != (truth_[i] != 0)) {
         return true;
       }
     }
@@ -36,6 +36,7 @@ class ObservedAnswer {
   const CompiledQuery& query_;
   std::vector<Tuple> tuples_;
   std::vector<uint8_t> truth_;
+  CompiledQuery::Scratch scratch_;
 };
 
 }  // namespace
@@ -105,6 +106,9 @@ StatusOr<AbsoluteReliabilityResult> AbsoluteReliabilityMonteCarlo(
 
   Rng rng(seed);
   WorldIndex index(db);
+  WorldSampler sampler(db);
+  World world(db.model().entry_count());
+  const WorldView view(index, world);
   AbsoluteReliabilityResult result;
   uint64_t drawn = 0;
   QREL_RETURN_IF_ERROR(loop.Resume([&](SnapshotReader& r) -> Status {
@@ -115,10 +119,10 @@ StatusOr<AbsoluteReliabilityResult> AbsoluteReliabilityMonteCarlo(
   QREL_RETURN_IF_ERROR(loop.Run(
       &drawn, samples,
       [&]() -> Status {
-        World world = db.SampleWorld(&rng);
+        sampler.Sample(&rng, &world);
         ++result.worlds_checked;
-        if (observed.DiffersIn(WorldView(index, world))) {
-          result.witness = std::move(world);
+        if (observed.DiffersIn(view)) {
+          result.witness = world;
           loop.Stop();
         }
         return Status::Ok();

@@ -356,6 +356,9 @@ StatusOr<ApproxResult> PaddedEstimate(const UnreliableDatabase& db,
 
   Rng rng(options.seed);
   WorldIndex index(db);
+  WorldSampler sampler(db);
+  World world(db.model().entry_count());
+  const WorldView view(index, world);
   std::vector<uint64_t> hits(tuples.size(), 0);
   std::vector<size_t> by_rc;  // this sample's tuples with Rd ∧ Rc
   by_rc.reserve(tuples.size());
@@ -393,9 +396,8 @@ StatusOr<ApproxResult> PaddedEstimate(const UnreliableDatabase& db,
           }
         }
         if (!asked.empty()) {
-          World world = db.SampleWorld(&rng);
-          QREL_RETURN_IF_ERROR(
-              query.holds(WorldView(index, world), asked, &holds));
+          sampler.Sample(&rng, &world);
+          QREL_RETURN_IF_ERROR(query.holds(view, asked, &holds));
         }
         // Committed only now that the sample's evaluation succeeded.
         for (size_t i : by_rc) {
@@ -445,6 +447,7 @@ StatusOr<ApproxResult> PaddedReliabilityApprox(const FormulaPtr& query,
     return compiled.status();
   }
   std::string text = query->ToString();
+  CompiledQuery::Scratch scratch;
   StatusOr<ApproxResult> result = PaddedEstimate(
       db,
       {.arity = compiled->arity(),
@@ -455,7 +458,8 @@ StatusOr<ApproxResult> PaddedReliabilityApprox(const FormulaPtr& query,
            [&](const AtomOracle& world, const std::vector<const Tuple*>& asked,
                std::vector<uint8_t>* holds) {
              for (size_t j = 0; j < asked.size(); ++j) {
-               (*holds)[j] = compiled->Eval(world, *asked[j]) ? 1 : 0;
+               (*holds)[j] =
+                   compiled->Eval(world, *asked[j], &scratch) ? 1 : 0;
              }
              return Status::Ok();
            }},

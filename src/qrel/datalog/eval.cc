@@ -1,6 +1,7 @@
 #include "qrel/datalog/eval.h"
 
 #include <algorithm>
+#include <atomic>
 #include <utility>
 
 #include "qrel/util/check.h"
@@ -11,27 +12,13 @@ namespace qrel {
 
 namespace {
 
-constexpr Element kUnbound = -1;
-
-// IDB serialization for fixpoint checkpoints. std::map iteration order is
-// the predicate-name order, so the encoding is canonical.
-void WriteIdb(SnapshotWriter& w, const DatalogResult& idb) {
-  w.U32(static_cast<uint32_t>(idb.size()));
-  for (const auto& [predicate, tuples] : idb) {
-    w.String(predicate);
-    w.U32(static_cast<uint32_t>(tuples.size()));
-    for (const Tuple& tuple : tuples) {
-      w.TupleVal(tuple);
-    }
-  }
-}
-
-// Restores into `idb`, which must already hold exactly the program's
-// predicates (mapped to empty sets); unknown names are data loss. Every
-// restored tuple is validated against the predicate's recorded arity and
-// the universe, so a forged payload (valid checksum, matching fingerprint)
-// cannot smuggle a short or out-of-range tuple into BodySatisfied's
-// indexing — it degrades to kDataLoss, never UB.
+// Reads one IDB payload (CompiledDatalog::WriteRelations) into `idb`,
+// which must already hold exactly the program's predicates (mapped to
+// empty sets); unknown names are data loss. Every restored tuple is
+// validated against the predicate's recorded arity and the universe, so a
+// forged payload (valid checksum, matching fingerprint) cannot smuggle a
+// short or out-of-range tuple into the join's flat relations — it degrades
+// to kDataLoss, never UB.
 Status ReadIdb(SnapshotReader& r, const std::map<std::string, int>& arity,
                int universe_size, DatalogResult* idb) {
   uint32_t predicate_count = 0;
@@ -78,8 +65,10 @@ Status ReadIdb(SnapshotReader& r, const std::map<std::string, int>& arity,
 
 StatusOr<CompiledDatalog> CompiledDatalog::Compile(
     DatalogProgram program, const Vocabulary& edb_vocabulary) {
+  static std::atomic<uint64_t> next_id{1};
   CompiledDatalog compiled;
   compiled.edb_vocabulary_ = &edb_vocabulary;
+  compiled.id_ = next_id.fetch_add(1, std::memory_order_relaxed);
 
   // IDB predicates and arities (consistent across all uses).
   std::vector<std::string> idb = program.IdbPredicates();
@@ -166,11 +155,21 @@ StatusOr<CompiledDatalog> CompiledDatalog::Compile(
                      return compiled.idb_stratum_.at(a) <
                             compiled.idb_stratum_.at(b);
                    });
+  for (size_t id = 0; id < compiled.idb_predicates_.size(); ++id) {
+    const std::string& predicate = compiled.idb_predicates_[id];
+    compiled.idb_id_[predicate] = static_cast<int>(id);
+    compiled.max_arity_ =
+        std::max(compiled.max_arity_, compiled.idb_arity_.at(predicate));
+  }
+  for (int r = 0; r < edb_vocabulary.relation_count(); ++r) {
+    compiled.max_arity_ =
+        std::max(compiled.max_arity_, edb_vocabulary.relation(r).arity);
+  }
 
   // Per-rule compilation: variable slots, safety, body reordering.
   for (const DatalogRule& rule : program.rules) {
     CompiledRule compiled_rule;
-    compiled_rule.head = rule.head.relation;
+    compiled_rule.head = compiled.idb_id_.at(rule.head.relation);
     compiled_rule.stratum = compiled.idb_stratum_.at(rule.head.relation);
 
     std::vector<std::string> variables;
@@ -214,7 +213,7 @@ StatusOr<CompiledDatalog> CompiledDatalog::Compile(
       compiled_literal.positive = literal.positive;
       compiled_literal.is_idb = is_idb(literal.atom.relation);
       if (compiled_literal.is_idb) {
-        compiled_literal.idb_relation = literal.atom.relation;
+        compiled_literal.idb = compiled.idb_id_.at(literal.atom.relation);
         compiled_literal.same_stratum_idb =
             literal.positive &&
             compiled.idb_stratum_.at(literal.atom.relation) ==
@@ -261,6 +260,9 @@ StatusOr<CompiledDatalog> CompiledDatalog::Compile(
     compile_args(rule.head.args, &compiled_rule.head_slots,
                  &compiled_rule.head_constants);
     compiled_rule.variable_count = static_cast<int>(variables.size());
+    compiled.max_variables_ =
+        std::max(compiled.max_variables_, compiled_rule.variable_count);
+    compiled.PlanJoin(&compiled_rule);
     compiled.rules_.push_back(std::move(compiled_rule));
   }
 
@@ -268,196 +270,289 @@ StatusOr<CompiledDatalog> CompiledDatalog::Compile(
   return compiled;
 }
 
-void CompiledDatalog::BodySatisfied(
-    const CompiledRule& rule, size_t literal_index,
-    std::vector<Element>* binding, const AtomOracle& edb,
-    const DatalogResult& idb, const std::set<Tuple>& head_set,
-    Tuple* head_tuple, std::set<Tuple>* additions, int delta_index,
-    const std::set<Tuple>* delta_contents, RunContext* ctx,
-    Status* budget) const {
-  if (!budget->ok()) {
-    return;
+void CompiledDatalog::PlanJoin(CompiledRule* rule) {
+  std::vector<bool> bound(static_cast<size_t>(rule->variable_count), false);
+  for (CompiledLiteral& literal : rule->body) {
+    std::vector<int> first_position(bound.size(), -1);
+    for (size_t i = 0; i < literal.slots.size(); ++i) {
+      int position = static_cast<int>(i);
+      int slot = literal.slots[i];
+      if (slot < 0 || bound[static_cast<size_t>(slot)]) {
+        literal.key_positions.push_back(position);
+      } else if (first_position[static_cast<size_t>(slot)] < 0) {
+        first_position[static_cast<size_t>(slot)] = position;
+        literal.binds.emplace_back(position, slot);
+      } else {
+        literal.repeats.emplace_back(position,
+                                     first_position[static_cast<size_t>(slot)]);
+      }
+    }
+    literal.all_bound = literal.binds.empty();
+    for (const auto& [position, slot] : literal.binds) {
+      bound[static_cast<size_t>(slot)] = true;
+    }
+    if (!literal.positive || literal.all_bound) {
+      continue;  // a membership test (negated literals are all bound)
+    }
+    if (!literal.is_idb &&
+        std::find(scanned_edb_.begin(), scanned_edb_.end(),
+                  literal.edb_relation) == scanned_edb_.end()) {
+      scanned_edb_.push_back(literal.edb_relation);
+    }
+    if (literal.key_positions.empty()) {
+      continue;  // scans the whole relation
+    }
+    IndexSpec spec{literal.is_idb,
+                   literal.is_idb ? literal.idb : literal.edb_relation,
+                   literal.key_positions};
+    auto same = std::find_if(
+        index_specs_.begin(), index_specs_.end(), [&](const IndexSpec& s) {
+          return s.is_idb == spec.is_idb && s.relation == spec.relation &&
+                 s.key_positions == spec.key_positions;
+        });
+    literal.index = static_cast<int>(same - index_specs_.begin());
+    if (same == index_specs_.end()) {
+      index_specs_.push_back(std::move(spec));
+    }
   }
-  *budget = ChargeWork(ctx);
-  if (!budget->ok()) {
-    return;
+}
+
+void CompiledDatalog::ResetWorkspace(DatalogWorkspace* ws) const {
+  if (ws->program_id_ != id_) {
+    ws->program_id_ = id_;
+    ws->idb_.assign(idb_predicates_.size(), {});
+    for (size_t id = 0; id < idb_predicates_.size(); ++id) {
+      const std::string& predicate = idb_predicates_[id];
+      ws->idb_[id].tuples.Reset(idb_arity_.at(predicate));
+      ws->idb_[id].stratum = idb_stratum_.at(predicate);
+    }
+    ws->edb_.assign(static_cast<size_t>(edb_vocabulary_->relation_count()),
+                    FlatTupleSet());
+    ws->indexes_.assign(index_specs_.size(), TupleIndex());
+    for (size_t i = 0; i < index_specs_.size(); ++i) {
+      ws->indexes_[i].Reset(index_specs_[i].key_positions);
+    }
+    ws->binding_.assign(static_cast<size_t>(max_variables_), 0);
+    ws->key_.assign(static_cast<size_t>(max_arity_), 0);
+    ws->probe_.reserve(static_cast<size_t>(max_arity_));
   }
+  for (DatalogWorkspace::Relation& relation : ws->idb_) {
+    relation.tuples.Reset(relation.tuples.arity());
+    relation.delta_begin = 0;
+    relation.limit = 0;
+  }
+  for (TupleIndex& index : ws->indexes_) {
+    index.Clear();
+  }
+}
+
+void CompiledDatalog::LoadExtensional(const AtomOracle& edb,
+                                      DatalogWorkspace* ws) const {
+  for (int relation : scanned_edb_) {
+    const auto arity =
+        static_cast<size_t>(edb_vocabulary_->relation(relation).arity);
+    FlatTupleSet& tuples = ws->edb_[static_cast<size_t>(relation)];
+    tuples.Reset(static_cast<int>(arity));
+    ws->candidates_.clear();
+    edb.AppendCandidates(relation, &ws->candidates_);
+    for (size_t at = 0; at < ws->candidates_.size(); at += arity) {
+      const Element* candidate = ws->candidates_.data() + at;
+      ws->probe_.assign(candidate, candidate + arity);
+      if (edb.AtomTrue(relation, ws->probe_)) {
+        tuples.Insert(candidate);
+      }
+    }
+  }
+  for (size_t i = 0; i < index_specs_.size(); ++i) {
+    if (!index_specs_[i].is_idb) {
+      ws->indexes_[i].CatchUp(
+          ws->edb_[static_cast<size_t>(index_specs_[i].relation)]);
+    }
+  }
+}
+
+bool CompiledDatalog::AdvanceRound(int stratum, DatalogWorkspace* ws) const {
+  bool any_delta = false;
+  for (DatalogWorkspace::Relation& relation : ws->idb_) {
+    if (relation.stratum != stratum) {
+      continue;
+    }
+    relation.delta_begin = relation.limit;
+    relation.limit = relation.tuples.size();
+    any_delta = any_delta || relation.delta_begin < relation.limit;
+  }
+  for (size_t i = 0; i < index_specs_.size(); ++i) {
+    if (index_specs_[i].is_idb) {
+      ws->indexes_[i].CatchUp(
+          ws->idb_[static_cast<size_t>(index_specs_[i].relation)].tuples);
+    }
+  }
+  return any_delta;
+}
+
+Status CompiledDatalog::Join(const CompiledRule& rule, size_t literal_index,
+                             int delta_index, const AtomOracle& edb,
+                             DatalogWorkspace* ws, RunContext* ctx) const {
+  QREL_RETURN_IF_ERROR(ChargeWork(ctx));
+  Element* binding = ws->binding_.data();
   if (literal_index == rule.body.size()) {
-    // Body satisfied: emit the head tuple (safety guarantees all head
-    // slots are bound).
-    head_tuple->clear();
+    // Body satisfied: insert the head tuple (safety guarantees all head
+    // slots are bound). A new tuple joins the next round's delta.
+    Element* head = ws->key_.data();
     for (size_t i = 0; i < rule.head_slots.size(); ++i) {
       int slot = rule.head_slots[i];
-      head_tuple->push_back(slot < 0 ? rule.head_constants[i]
-                                     : (*binding)[static_cast<size_t>(slot)]);
+      head[i] = slot < 0 ? rule.head_constants[i]
+                         : binding[static_cast<size_t>(slot)];
     }
-    if (head_set.find(*head_tuple) == head_set.end()) {
-      additions->insert(*head_tuple);
-    }
-    return;  // keep enumerating all bindings
+    ws->idb_[static_cast<size_t>(rule.head)].tuples.Insert(head);
+    return Status::Ok();
   }
 
   const CompiledLiteral& literal = rule.body[literal_index];
-  size_t arity = literal.slots.size();
-
-  // Instantiate what is already bound; record unbound slots.
-  Tuple args(arity, 0);
-  std::vector<size_t> free_positions;
-  for (size_t i = 0; i < arity; ++i) {
-    int slot = literal.slots[i];
-    if (slot < 0) {
-      args[i] = literal.constants[i];
-    } else if ((*binding)[static_cast<size_t>(slot)] != kUnbound) {
-      args[i] = (*binding)[static_cast<size_t>(slot)];
-    } else {
-      free_positions.push_back(i);
-    }
-  }
-
-  auto args_match_and_bind = [&](const Tuple& candidate,
-                                 std::vector<int>* newly_bound) {
-    for (size_t i = 0; i < arity; ++i) {
-      int slot = literal.slots[i];
-      if (slot < 0) {
-        if (candidate[i] != literal.constants[i]) return false;
-        continue;
-      }
-      Element& value = (*binding)[static_cast<size_t>(slot)];
-      if (value == kUnbound) {
-        value = candidate[i];
-        newly_bound->push_back(slot);
-      } else if (value != candidate[i]) {
-        return false;
-      }
-    }
-    return true;
-  };
-
-  if (!literal.positive) {
-    // All arguments bound (compile-time safety): a simple membership test.
+  const bool restricted = static_cast<int>(literal_index) == delta_index;
+  if (literal.all_bound) {
+    // A membership test: negated literals (compile-time safety binds all
+    // their arguments) and positive ones with nothing left to bind.
     bool holds;
     if (literal.is_idb) {
-      const std::set<Tuple>& contents = idb.at(literal.idb_relation);
-      holds = contents.find(args) != contents.end();
+      Element* key = ws->key_.data();
+      for (size_t i = 0; i < literal.slots.size(); ++i) {
+        int slot = literal.slots[i];
+        key[i] = slot < 0 ? literal.constants[i]
+                          : binding[static_cast<size_t>(slot)];
+      }
+      const DatalogWorkspace::Relation& relation =
+          ws->idb_[static_cast<size_t>(literal.idb)];
+      uint32_t id = relation.tuples.Find(key);
+      holds = id < relation.limit &&
+              (!restricted || id >= relation.delta_begin);
     } else {
-      holds = edb.AtomTrue(literal.edb_relation, args);
+      ws->probe_.resize(literal.slots.size());
+      for (size_t i = 0; i < literal.slots.size(); ++i) {
+        int slot = literal.slots[i];
+        ws->probe_[i] = slot < 0 ? literal.constants[i]
+                                 : binding[static_cast<size_t>(slot)];
+      }
+      holds = edb.AtomTrue(literal.edb_relation, ws->probe_);
     }
-    if (holds) {
-      return;
+    if (holds != literal.positive) {
+      return Status::Ok();
     }
-    BodySatisfied(rule, literal_index + 1, binding, edb, idb, head_set,
-                  head_tuple, additions, delta_index, delta_contents, ctx,
-                  budget);
-    return;
+    return Join(rule, literal_index + 1, delta_index, edb, ws, ctx);
   }
 
+  // A positive literal with variables to bind: iterate its relation's
+  // visible tuples (the delta, when restricted), through the index on the
+  // key positions when it has any.
+  const FlatTupleSet* tuples;
+  uint32_t begin = 0;
+  uint32_t end;
   if (literal.is_idb) {
-    // Iterate the materialized relation (or the delta, when this is the
-    // restricted literal of a semi-naive pass), filtered by the bound
-    // positions.
-    const std::set<Tuple>& contents =
-        static_cast<int>(literal_index) == delta_index
-            ? *delta_contents
-            : idb.at(literal.idb_relation);
-    for (const Tuple& candidate : contents) {
-      std::vector<int> newly_bound;
-      bool matched = args_match_and_bind(candidate, &newly_bound);
-      if (matched) {
-        BodySatisfied(rule, literal_index + 1, binding, edb, idb, head_set,
-                      head_tuple, additions, delta_index, delta_contents,
-                      ctx, budget);
-      }
-      for (int slot : newly_bound) {
-        (*binding)[static_cast<size_t>(slot)] = kUnbound;
-      }
-      if (!budget->ok()) {
-        return;
+    const DatalogWorkspace::Relation& relation =
+        ws->idb_[static_cast<size_t>(literal.idb)];
+    tuples = &relation.tuples;
+    begin = restricted ? relation.delta_begin : 0;
+    end = relation.limit;
+  } else {
+    tuples = &ws->edb_[static_cast<size_t>(literal.edb_relation)];
+    end = tuples->size();
+  }
+  // Binds the literal's variables from tuple `id` and recurses. The tuple
+  // is read before the recursion, whose head inserts may move it.
+  auto accept = [&](uint32_t id) -> Status {
+    const Element* tuple = tuples->tuple(id);
+    for (const auto& [position, earlier] : literal.repeats) {
+      if (tuple[position] != tuple[earlier]) {
+        return Status::Ok();
       }
     }
-    return;
+    for (const auto& [position, slot] : literal.binds) {
+      binding[static_cast<size_t>(slot)] = tuple[position];
+    }
+    return Join(rule, literal_index + 1, delta_index, edb, ws, ctx);
+  };
+  if (literal.index < 0) {
+    for (uint32_t id = begin; id < end; ++id) {
+      QREL_RETURN_IF_ERROR(accept(id));
+    }
+    return Status::Ok();
   }
-
-  // Extensional literal: enumerate values for the unbound positions and
-  // probe the oracle. Positions sharing one variable slot move together.
-  std::vector<int> distinct_free_slots;
-  for (size_t position : free_positions) {
+  Element* key = ws->key_.data();
+  for (size_t k = 0; k < literal.key_positions.size(); ++k) {
+    auto position = static_cast<size_t>(literal.key_positions[k]);
     int slot = literal.slots[position];
-    if (std::find(distinct_free_slots.begin(), distinct_free_slots.end(),
-                  slot) == distinct_free_slots.end()) {
-      distinct_free_slots.push_back(slot);
-    }
+    key[k] = slot < 0 ? literal.constants[position]
+                      : binding[static_cast<size_t>(slot)];
   }
-  int n = edb.universe_size();
-  Tuple values(distinct_free_slots.size(), 0);
-  bool more = true;
-  while (more) {
-    for (size_t i = 0; i < distinct_free_slots.size(); ++i) {
-      (*binding)[static_cast<size_t>(distinct_free_slots[i])] = values[i];
-    }
-    for (size_t i = 0; i < arity; ++i) {
-      int slot = literal.slots[i];
-      if (slot >= 0) {
-        args[i] = (*binding)[static_cast<size_t>(slot)];
-      }
-    }
-    if (edb.AtomTrue(literal.edb_relation, args)) {
-      BodySatisfied(rule, literal_index + 1, binding, edb, idb, head_set,
-                    head_tuple, additions, delta_index, delta_contents, ctx,
-                    budget);
-      if (!budget->ok()) {
-        break;
-      }
-    }
-    more = !values.empty() && AdvanceTuple(&values, n);
-    if (values.empty()) {
-      more = false;
-    }
+  const TupleIndex& index = ws->indexes_[static_cast<size_t>(literal.index)];
+  // Ids come newest first and the index holds only ids below `end`, so
+  // the delta's ids lead the chain.
+  for (uint32_t id = index.First(*tuples, key);
+       id != TupleIndex::kNone && id >= begin; id = index.Next(id)) {
+    QREL_RETURN_IF_ERROR(accept(id));
   }
-  for (int slot : distinct_free_slots) {
-    (*binding)[static_cast<size_t>(slot)] = kUnbound;
+  return Status::Ok();
+}
+
+void CompiledDatalog::WriteRelations(SnapshotWriter& w,
+                                     const DatalogWorkspace& ws,
+                                     bool delta_only) const {
+  // Predicate-name order, as the std::map of a DatalogResult iterates.
+  w.U32(static_cast<uint32_t>(idb_id_.size()));
+  std::vector<uint32_t> ids;
+  Tuple tuple;
+  for (const auto& [predicate, id] : idb_id_) {
+    const DatalogWorkspace::Relation& relation =
+        ws.idb_[static_cast<size_t>(id)];
+    w.String(predicate);
+    uint32_t begin = delta_only ? relation.delta_begin : 0;
+    uint32_t end = delta_only ? relation.limit : relation.tuples.size();
+    relation.tuples.SortedIds(begin, end, &ids);
+    w.U32(static_cast<uint32_t>(ids.size()));
+    for (uint32_t tuple_id : ids) {
+      const Element* elements = relation.tuples.tuple(tuple_id);
+      tuple.assign(elements, elements + relation.tuples.arity());
+      w.TupleVal(tuple);
+    }
   }
 }
 
-StatusOr<DatalogResult> CompiledDatalog::EvalNaive(const AtomOracle& edb,
-                                                   RunContext* ctx) const {
-  DatalogResult idb;
-  for (const std::string& predicate : idb_predicates_) {
-    idb[predicate] = {};
-  }
-  Tuple head_tuple;
-  Status budget = Status::Ok();
-  for (int stratum = 0; stratum < stratum_count_; ++stratum) {
-    bool changed = true;
-    while (changed) {
-      QREL_FAULT_SITE("datalog.fixpoint.round");
-      changed = false;
-      for (const CompiledRule& rule : rules_) {
-        if (rule.stratum != stratum) {
-          continue;
-        }
-        std::set<Tuple> additions;
-        std::vector<Element> binding(
-            static_cast<size_t>(rule.variable_count), kUnbound);
-        BodySatisfied(rule, 0, &binding, edb, idb, idb.at(rule.head),
-                      &head_tuple, &additions, -1, nullptr, ctx, &budget);
-        QREL_RETURN_IF_ERROR(budget);
-        if (!additions.empty()) {
-          idb[rule.head].insert(additions.begin(), additions.end());
-          changed = true;
-        }
+Status CompiledDatalog::LoadRelations(const DatalogResult& idb,
+                                      const DatalogResult* delta,
+                                      DatalogWorkspace* ws) const {
+  static const std::set<Tuple> kNoTuples;
+  for (const auto& [predicate, id] : idb_id_) {
+    const std::set<Tuple>& all = idb.at(predicate);
+    const std::set<Tuple>& fresh =
+        delta == nullptr ? kNoTuples : delta->at(predicate);
+    DatalogWorkspace::Relation& relation = ws->idb_[static_cast<size_t>(id)];
+    // The delta goes last, so it is the id range [delta_begin, limit).
+    for (const Tuple& tuple : all) {
+      if (fresh.count(tuple) == 0) {
+        relation.tuples.Insert(tuple.data());
       }
     }
+    relation.delta_begin = relation.tuples.size();
+    for (const Tuple& tuple : fresh) {
+      if (all.count(tuple) == 0) {
+        return Status::DataLoss("snapshot delta tuple of '" + predicate +
+                                "' is missing from its relation");
+      }
+      relation.tuples.Insert(tuple.data());
+    }
+    relation.limit = relation.tuples.size();
   }
-  return idb;
+  for (size_t i = 0; i < index_specs_.size(); ++i) {
+    if (index_specs_[i].is_idb) {
+      ws->indexes_[i].CatchUp(
+          ws->idb_[static_cast<size_t>(index_specs_[i].relation)].tuples);
+    }
+  }
+  return Status::Ok();
 }
 
-StatusOr<DatalogResult> CompiledDatalog::Eval(const AtomOracle& edb,
-                                              RunContext* ctx) const {
-  DatalogResult idb;
-  for (const std::string& predicate : idb_predicates_) {
-    idb[predicate] = {};
-  }
-
+Status CompiledDatalog::Run(const AtomOracle& edb, DatalogWorkspace* ws,
+                            RunContext* ctx) const {
   // Checkpoints at stratum entry and at every semi-naive round boundary:
   // the derived-atom frontier (idb + delta) at those points fully
   // determines the rest of the fixpoint. Inert when a world loop above
@@ -503,9 +598,10 @@ StatusOr<DatalogResult> CompiledDatalog::Eval(const AtomOracle& edb,
   }
   CheckpointScope checkpoint(ctx, "datalog.fixpoint.v1", fingerprint.value());
 
+  ResetWorkspace(ws);
+  LoadExtensional(edb, ws);
   int start_stratum = 0;
   bool resume_in_round = false;
-  DatalogResult resume_delta;
   {
     std::optional<SnapshotReader> resume;
     QREL_RETURN_IF_ERROR(checkpoint.TakeResume(&resume));
@@ -517,57 +613,49 @@ StatusOr<DatalogResult> CompiledDatalog::Eval(const AtomOracle& edb,
       if (stratum >= static_cast<uint32_t>(stratum_count_)) {
         return Status::DataLoss("snapshot stratum out of range");
       }
+      DatalogResult idb;
+      DatalogResult delta;
+      for (const std::string& predicate : idb_predicates_) {
+        idb[predicate] = {};
+        delta[predicate] = {};
+      }
       QREL_RETURN_IF_ERROR(
           ReadIdb(*resume, idb_arity_, edb.universe_size(), &idb));
       if (in_round != 0) {
-        for (const std::string& predicate : idb_predicates_) {
-          resume_delta[predicate] = {};
-        }
         QREL_RETURN_IF_ERROR(
-            ReadIdb(*resume, idb_arity_, edb.universe_size(), &resume_delta));
+            ReadIdb(*resume, idb_arity_, edb.universe_size(), &delta));
         resume_in_round = true;
       }
       QREL_RETURN_IF_ERROR(resume->ExpectEnd());
+      QREL_RETURN_IF_ERROR(
+          LoadRelations(idb, resume_in_round ? &delta : nullptr, ws));
       start_stratum = static_cast<int>(stratum);
     }
   }
 
-  Tuple head_tuple;
-  Status budget = Status::Ok();
   for (int stratum = start_stratum; stratum < stratum_count_; ++stratum) {
-    DatalogResult delta;
-    for (const std::string& predicate : idb_predicates_) {
-      delta[predicate] = {};
-    }
     if (resume_in_round) {
       // The interrupted run already finished this stratum's seed round and
       // some semi-naive rounds; re-enter the round loop with its frontier.
       resume_in_round = false;
-      delta = std::move(resume_delta);
     } else {
-      QREL_RETURN_IF_ERROR(checkpoint.MaybeCheckpoint([&](SnapshotWriter& w) {
-        w.U32(static_cast<uint32_t>(stratum));
-        w.U8(0);
-        WriteIdb(w, idb);
-      }));
+      if (checkpoint.CheckpointDue()) {
+        QREL_RETURN_IF_ERROR(checkpoint.CheckpointNow([&](SnapshotWriter& w) {
+          w.U32(static_cast<uint32_t>(stratum));
+          w.U8(0);
+          WriteRelations(w, *ws, /*delta_only=*/false);
+        }));
+      }
       QREL_FAULT_SITE("datalog.fixpoint.round");
       // Round 0: full evaluation seeds the delta (also the only round for
       // rules with no same-stratum recursion).
+      AdvanceRound(stratum, ws);
       for (const CompiledRule& rule : rules_) {
-        if (rule.stratum != stratum) {
-          continue;
+        if (rule.stratum == stratum) {
+          QREL_RETURN_IF_ERROR(Join(rule, 0, -1, edb, ws, ctx));
         }
-        std::set<Tuple> additions;
-        std::vector<Element> binding(
-            static_cast<size_t>(rule.variable_count), kUnbound);
-        BodySatisfied(rule, 0, &binding, edb, idb, idb.at(rule.head),
-                      &head_tuple, &additions, -1, nullptr, ctx, &budget);
-        QREL_RETURN_IF_ERROR(budget);
-        delta[rule.head].insert(additions.begin(), additions.end());
       }
-      for (auto& [predicate, tuples] : delta) {
-        idb[predicate].insert(tuples.begin(), tuples.end());
-      }
+      AdvanceRound(stratum, ws);
     }
 
     // Semi-naive rounds: each recursive rule re-fires once per
@@ -576,55 +664,45 @@ StatusOr<DatalogResult> CompiledDatalog::Eval(const AtomOracle& edb,
     bool any_delta = true;
     while (any_delta) {
       QREL_FAULT_SITE("datalog.fixpoint.round");
-      DatalogResult next_delta;
-      for (const std::string& predicate : idb_predicates_) {
-        next_delta[predicate] = {};
-      }
-      any_delta = false;
       for (const CompiledRule& rule : rules_) {
         if (rule.stratum != stratum) {
           continue;
         }
         for (size_t i = 0; i < rule.body.size(); ++i) {
-          if (!rule.body[i].same_stratum_idb) {
+          const CompiledLiteral& literal = rule.body[i];
+          if (!literal.same_stratum_idb) {
             continue;
           }
-          const std::set<Tuple>& restricted =
-              delta.at(rule.body[i].idb_relation);
-          if (restricted.empty()) {
+          const DatalogWorkspace::Relation& relation =
+              ws->idb_[static_cast<size_t>(literal.idb)];
+          if (relation.delta_begin == relation.limit) {
             continue;
           }
-          std::set<Tuple> additions;
-          std::vector<Element> binding(
-              static_cast<size_t>(rule.variable_count), kUnbound);
-          BodySatisfied(rule, 0, &binding, edb, idb, idb.at(rule.head),
-                        &head_tuple, &additions, static_cast<int>(i),
-                        &restricted, ctx, &budget);
-          QREL_RETURN_IF_ERROR(budget);
-          for (const Tuple& tuple : additions) {
-            if (idb.at(rule.head).find(tuple) == idb.at(rule.head).end()) {
-              next_delta[rule.head].insert(tuple);
-            }
-          }
+          QREL_RETURN_IF_ERROR(
+              Join(rule, 0, static_cast<int>(i), edb, ws, ctx));
         }
       }
-      for (auto& [predicate, tuples] : next_delta) {
-        if (!tuples.empty()) {
-          idb[predicate].insert(tuples.begin(), tuples.end());
-          any_delta = true;
-        }
-      }
-      delta = std::move(next_delta);
-      if (any_delta) {
-        QREL_RETURN_IF_ERROR(
-            checkpoint.MaybeCheckpoint([&](SnapshotWriter& w) {
-              w.U32(static_cast<uint32_t>(stratum));
-              w.U8(1);
-              WriteIdb(w, idb);
-              WriteIdb(w, delta);
-            }));
+      any_delta = AdvanceRound(stratum, ws);
+      if (any_delta && checkpoint.CheckpointDue()) {
+        QREL_RETURN_IF_ERROR(checkpoint.CheckpointNow([&](SnapshotWriter& w) {
+          w.U32(static_cast<uint32_t>(stratum));
+          w.U8(1);
+          WriteRelations(w, *ws, /*delta_only=*/false);
+          WriteRelations(w, *ws, /*delta_only=*/true);
+        }));
       }
     }
+  }
+  return Status::Ok();
+}
+
+StatusOr<DatalogResult> CompiledDatalog::Eval(const AtomOracle& edb,
+                                              RunContext* ctx) const {
+  DatalogWorkspace workspace;
+  QREL_RETURN_IF_ERROR(Run(edb, &workspace, ctx));
+  DatalogResult idb;
+  for (size_t id = 0; id < idb_predicates_.size(); ++id) {
+    idb[idb_predicates_[id]] = workspace.idb_[id].tuples.ToSet();
   }
   return idb;
 }
@@ -632,28 +710,49 @@ StatusOr<DatalogResult> CompiledDatalog::Eval(const AtomOracle& edb,
 StatusOr<std::set<Tuple>> CompiledDatalog::EvalPredicate(
     const AtomOracle& edb, const std::string& predicate,
     RunContext* ctx) const {
-  if (idb_arity_.find(predicate) != idb_arity_.end()) {
-    StatusOr<DatalogResult> result = Eval(edb, ctx);
-    if (!result.ok()) {
-      return result.status();
-    }
-    return std::move(result->at(predicate));
+  DatalogWorkspace workspace;
+  StatusOr<const FlatTupleSet*> answer =
+      EvalPredicateInto(edb, predicate, &workspace, ctx);
+  if (!answer.ok()) {
+    return answer.status();
+  }
+  return (*answer)->ToSet();
+}
+
+StatusOr<const FlatTupleSet*> CompiledDatalog::EvalPredicateInto(
+    const AtomOracle& edb, const std::string& predicate,
+    DatalogWorkspace* workspace, RunContext* ctx) const {
+  auto id = idb_id_.find(predicate);
+  if (id != idb_id_.end()) {
+    QREL_RETURN_IF_ERROR(Run(edb, workspace, ctx));
+    return &workspace->idb_[static_cast<size_t>(id->second)].tuples;
   }
   std::optional<int> relation = edb_vocabulary_->FindRelation(predicate);
   if (!relation.has_value()) {
     return Status::NotFound("unknown predicate '" + predicate + "'");
   }
   // Materialize the extensional relation through the oracle.
-  std::set<Tuple> contents;
   int arity = edb_vocabulary_->relation(*relation).arity;
-  Tuple tuple(static_cast<size_t>(arity), 0);
+  FlatTupleSet& contents = workspace->answer_;
+  contents.Reset(arity);
+  Tuple& tuple = workspace->probe_;
+  tuple.assign(static_cast<size_t>(arity), 0);
   do {
     QREL_RETURN_IF_ERROR(ChargeWork(ctx));
     if (edb.AtomTrue(*relation, tuple)) {
-      contents.insert(tuple);
+      contents.Insert(tuple.data());
     }
   } while (AdvanceTuple(&tuple, edb.universe_size()));
-  return contents;
+  return &contents;
+}
+
+StatusOr<int> CompiledDatalog::PredicateStratum(
+    const std::string& predicate) const {
+  auto it = idb_stratum_.find(predicate);
+  if (it == idb_stratum_.end()) {
+    return Status::NotFound("no intensional predicate '" + predicate + "'");
+  }
+  return it->second;
 }
 
 StatusOr<int> CompiledDatalog::PredicateArity(

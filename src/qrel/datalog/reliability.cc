@@ -8,15 +8,11 @@ namespace qrel {
 
 namespace {
 
-size_t SymmetricDifferenceSize(const std::set<Tuple>& a,
-                               const std::set<Tuple>& b) {
-  size_t common = 0;
-  const std::set<Tuple>& smaller = a.size() <= b.size() ? a : b;
-  const std::set<Tuple>& larger = a.size() <= b.size() ? b : a;
-  for (const Tuple& tuple : smaller) {
-    if (larger.find(tuple) != larger.end()) {
-      ++common;
-    }
+// |a △ b|, by membership of b's tuples in a.
+uint64_t SymmetricDifferenceSize(const FlatTupleSet& a, const FlatTupleSet& b) {
+  uint64_t common = 0;
+  for (uint32_t id = 0; id < b.size(); ++id) {
+    common += a.Contains(b.tuple(id)) ? 1 : 0;
   }
   return a.size() + b.size() - 2 * common;
 }
@@ -49,11 +45,15 @@ StatusOr<ReliabilityReport> ExactDatalogReliability(
             .fingerprint = fingerprint.value(),
             .fault_site = "datalog.exact.world"});
 
-  StatusOr<std::set<Tuple>> observed =
-      program.EvalPredicate(db.observed(), predicate, ctx);
-  if (!observed.ok()) {
-    return observed.status();
+  // One workspace for every world's fixpoint; the observed answer is
+  // copied out of it before the walk reuses it.
+  DatalogWorkspace workspace;
+  StatusOr<const FlatTupleSet*> observed_answer =
+      program.EvalPredicateInto(db.observed(), predicate, &workspace, ctx);
+  if (!observed_answer.ok()) {
+    return observed_answer.status();
   }
+  const FlatTupleSet observed = **observed_answer;
 
   BigInt tuple_space =
       BigInt::Pow(BigInt(db.universe_size()), static_cast<uint32_t>(*arity));
@@ -61,12 +61,12 @@ StatusOr<ReliabilityReport> ExactDatalogReliability(
       db, tuple_space, &loop,
       [&](const AtomOracle& world) -> StatusOr<uint64_t> {
         // A failure is the envelope tripping mid-fixpoint, or a fault.
-        StatusOr<std::set<Tuple>> actual =
-            program.EvalPredicate(world, predicate, ctx);
+        StatusOr<const FlatTupleSet*> actual =
+            program.EvalPredicateInto(world, predicate, &workspace, ctx);
         if (!actual.ok()) {
           return actual.status();
         }
-        return SymmetricDifferenceSize(*observed, *actual);
+        return SymmetricDifferenceSize(observed, **actual);
       });
   if (!sum.ok()) {
     return sum.status();
@@ -88,6 +88,7 @@ StatusOr<ApproxResult> PaddedDatalogReliability(
     return arity.status();
   }
   std::string text = predicate + "\n" + program.program().ToString();
+  DatalogWorkspace workspace;
   StatusOr<ApproxResult> result = PaddedEstimate(
       db,
       {.arity = *arity,
@@ -97,13 +98,13 @@ StatusOr<ApproxResult> PaddedDatalogReliability(
        .holds =
            [&](const AtomOracle& world, const std::vector<const Tuple*>& asked,
                std::vector<uint8_t>* holds) -> Status {
-             StatusOr<std::set<Tuple>> answer =
-                 program.EvalPredicate(world, predicate, options.run_context);
+             StatusOr<const FlatTupleSet*> answer = program.EvalPredicateInto(
+                 world, predicate, &workspace, options.run_context);
              if (!answer.ok()) {
                return answer.status();
              }
              for (size_t j = 0; j < asked.size(); ++j) {
-               (*holds)[j] = answer->count(*asked[j]) != 0 ? 1 : 0;
+               (*holds)[j] = (*answer)->Contains(asked[j]->data()) ? 1 : 0;
              }
              return Status::Ok();
            }},

@@ -23,10 +23,12 @@
 namespace qrel {
 
 // Exact H and R for `predicate` by world enumeration (WorldEnumerator, the
-// same integer Gray walk as ExactReliability). Fails if the database has
-// more than 62 uncertain atoms. `ctx` (nullable) is charged one unit per
-// world plus the fixpoint's own per-node charges; a tripped envelope
-// aborts with the budget status. Checkpoints under kind "datalog.exact.v2".
+// same integer Gray walk as ExactReliability). Every world's fixpoint runs
+// in one DatalogWorkspace, so after the first worlds a world allocates
+// nothing. Fails if the database has more than 62 uncertain atoms. `ctx`
+// (nullable) is charged one unit per world plus the fixpoint's own
+// per-node charges; a tripped envelope aborts with the budget status.
+// Checkpoints under kind "datalog.exact.v2".
 StatusOr<ReliabilityReport> ExactDatalogReliability(
     const CompiledDatalog& program, const std::string& predicate,
     const UnreliableDatabase& db, RunContext* ctx = nullptr);

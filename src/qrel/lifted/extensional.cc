@@ -1,13 +1,16 @@
 #include "qrel/lifted/extensional.h"
 
 #include <map>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "qrel/logic/eval.h"
+#include "qrel/logic/grounding.h"
 #include "qrel/logic/safe_plan.h"
 #include "qrel/relational/atom_table.h"
+#include "qrel/relational/flat_tuples.h"
 #include "qrel/util/check.h"
 
 namespace qrel {
@@ -34,7 +37,111 @@ struct CompiledPlanNode {
   std::vector<CompiledPlanTerm> terms;  // kAtom / kEquality
   int slot = -1;                        // kProject: projected variable
   std::vector<CompiledPlanNode> children;
+
+  // kProject: the values `slot` can take with Pr[child] > 0. Every atom
+  // below a projection mentions its variable, and a value none of one
+  // atom's possible tuples carries makes that atom — and so the child —
+  // certainly false. `values` holds, for the atom with the fewest possible
+  // tuples, (key..., value) per possible tuple that agrees with the
+  // atom's constants, where the key is the tuple's elements at the
+  // positions of variables bound above; `index` groups them by key (one
+  // group when nothing is bound above). `over_universe` (no atom mentions
+  // the slot) walks all n values.
+  bool over_universe = true;
+  std::vector<int> key_slots;  // env slots of the key, in key order
+  FlatTupleSet values;
+  TupleIndex index;
+  mutable std::vector<Element> key;  // EvalPlan's key buffer
 };
+
+// Finds, below `node`, the atom mentioning `slot` whose relation has the
+// fewest possible tuples.
+const CompiledPlanNode* SupportAtom(
+    const CompiledPlanNode& node, int slot, const UnreliableDatabase& db,
+    std::map<int, std::vector<Tuple>>* possible) {
+  const CompiledPlanNode* best = nullptr;
+  if (node.kind == SafePlanKind::kAtom) {
+    for (const CompiledPlanTerm& term : node.terms) {
+      if (term.is_slot && term.slot == slot) {
+        if (possible->count(node.relation) == 0) {
+          (*possible)[node.relation] = PossibleTuples(db, node.relation);
+        }
+        return &node;
+      }
+    }
+    return nullptr;
+  }
+  for (const CompiledPlanNode& child : node.children) {
+    const CompiledPlanNode* atom = SupportAtom(child, slot, db, possible);
+    if (atom != nullptr &&
+        (best == nullptr || possible->at(atom->relation).size() <
+                                possible->at(best->relation).size())) {
+      best = atom;
+    }
+  }
+  return best;
+}
+
+// Fills in every projection's support; `bound[s]` says whether env slot
+// s is bound above `node` (the free variables and enclosing projections).
+void BuildSupport(CompiledPlanNode* node, const UnreliableDatabase& db,
+                  std::vector<bool>* bound,
+                  std::map<int, std::vector<Tuple>>* possible) {
+  if (node->kind == SafePlanKind::kProject) {
+    const CompiledPlanNode* atom =
+        SupportAtom(node->children[0], node->slot, db, possible);
+    node->over_universe = atom == nullptr;
+    if (atom != nullptr) {
+      std::vector<size_t> key_positions;
+      size_t value_position = 0;
+      for (size_t i = atom->terms.size(); i-- > 0;) {
+        const CompiledPlanTerm& term = atom->terms[i];
+        if (term.is_slot && term.slot == node->slot) {
+          value_position = i;
+        }
+      }
+      for (size_t i = 0; i < atom->terms.size(); ++i) {
+        const CompiledPlanTerm& term = atom->terms[i];
+        if (term.is_slot && (*bound)[static_cast<size_t>(term.slot)]) {
+          key_positions.push_back(i);
+          node->key_slots.push_back(term.slot);
+        }
+      }
+      const size_t width = key_positions.size() + 1;
+      node->values.Reset(static_cast<int>(width));
+      std::vector<Element> entry(width);
+      for (const Tuple& tuple : possible->at(atom->relation)) {
+        bool agrees = true;
+        for (size_t i = 0; i < atom->terms.size() && agrees; ++i) {
+          const CompiledPlanTerm& term = atom->terms[i];
+          agrees = term.is_slot ? term.slot != node->slot ||
+                                      tuple[i] == tuple[value_position]
+                                : tuple[i] == term.constant;
+        }
+        if (!agrees) {
+          continue;
+        }
+        for (size_t k = 0; k < key_positions.size(); ++k) {
+          entry[k] = tuple[key_positions[k]];
+        }
+        entry[width - 1] = tuple[value_position];
+        node->values.Insert(entry.data());
+      }
+      std::vector<int> index_positions(key_positions.size());
+      std::iota(index_positions.begin(), index_positions.end(), 0);
+      node->index.Reset(index_positions);
+      node->index.CatchUp(node->values);
+      node->key.resize(key_positions.size());
+    }
+    (*bound)[static_cast<size_t>(node->slot)] = true;
+    BuildSupport(&node->children[0], db, bound, possible);
+    (*bound)[static_cast<size_t>(node->slot)] = false;
+    return;
+  }
+  for (CompiledPlanNode& child : node->children) {
+    BuildSupport(&child, db, bound, possible);
+  }
+}
 
 class PlanCompiler {
  public:
@@ -145,28 +252,51 @@ StatusOr<Rational> EvalPlan(const CompiledPlanNode& node,
       return left == right ? Rational::One() : Rational::Zero();
     }
     case SafePlanKind::kJoin: {
-      // Independent factors: the product of the children.
+      // Independent factors: the product of the children; a zero factor
+      // ends it.
       Rational product = Rational::One();
       for (const CompiledPlanNode& child : node.children) {
         StatusOr<Rational> p = EvalPlan(child, db, env, ctx, ops);
         if (!p.ok()) {
           return p.status();
         }
+        if (p->IsZero()) {
+          return Rational::Zero();
+        }
         product *= *p;
       }
       return product;
     }
     case SafePlanKind::kProject: {
-      // Independent instantiations: Pr[∃x φ] = 1 − Π_c (1 − Pr[φ[x:=c]]).
+      // Independent instantiations: Pr[∃x φ] = 1 − Π_c (1 − Pr[φ[x:=c]]),
+      // over the values c the support allows; the others have
+      // Pr[φ[x:=c]] = 0 and factor 1, as do zeros the support lets in.
       Rational none_true = Rational::One();
-      for (Element value = 0; value < db.universe_size(); ++value) {
-        (*env)[node.slot] = value;
-        StatusOr<Rational> p =
-            EvalPlan(node.children[0], db, env, ctx, ops);
+      auto instantiate = [&](Element value) -> Status {
+        (*env)[static_cast<size_t>(node.slot)] = value;
+        StatusOr<Rational> p = EvalPlan(node.children[0], db, env, ctx, ops);
         if (!p.ok()) {
           return p.status();
         }
-        none_true *= p->Complement();
+        if (!p->IsZero()) {
+          none_true *= p->Complement();
+        }
+        return Status::Ok();
+      };
+      const auto width = static_cast<size_t>(node.values.arity());
+      if (node.over_universe) {
+        for (Element value = 0; value < db.universe_size(); ++value) {
+          QREL_RETURN_IF_ERROR(instantiate(value));
+        }
+      } else {
+        for (size_t k = 0; k < node.key_slots.size(); ++k) {
+          node.key[k] = (*env)[static_cast<size_t>(node.key_slots[k])];
+        }
+        for (uint32_t id = node.index.First(node.values, node.key.data());
+             id != TupleIndex::kNone; id = node.index.Next(id)) {
+          QREL_RETURN_IF_ERROR(
+              instantiate(node.values.tuple(id)[width - 1]));
+        }
       }
       return none_true.Complement();
     }
@@ -209,6 +339,12 @@ StatusOr<CompiledExtensional> CompileExtensional(
   }
   result.plan = std::move(plan).value();
   result.slot_count = slot_count;
+  std::vector<bool> bound(static_cast<size_t>(slot_count), false);
+  for (int i = 0; i < result.query.arity(); ++i) {
+    bound[static_cast<size_t>(i)] = true;
+  }
+  std::map<int, std::vector<Tuple>> possible;  // the plan's relations only
+  BuildSupport(&result.plan, db, &bound, &possible);
   return result;
 }
 

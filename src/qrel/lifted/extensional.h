@@ -9,11 +9,17 @@
 //   independent join  Pr[φ₁ ∧ φ₂] = Pr[φ₁]·Pr[φ₂]
 //   independent proj  Pr[∃x φ] = 1 − Π_c (1 − Pr[φ[x:=c]])
 //
+// A projection multiplies only over the values c its variable takes in the
+// possible tuples (ν > 0, logic/grounding.h PossibleTuples) of one atom
+// below it that agree with the values bound above; for any other c that
+// atom, and so φ[x:=c], is certainly false and its factor is 1.
+//
 // ExtensionalReliability evaluates the plan once per answer tuple ā over
 // the n^k tuple space, in exact rational arithmetic, and assembles
 // H_ψ(𝔇) = Σ_ā Pr[ψ(ā) wrong] and R_ψ = 1 − H_ψ/n^k exactly — the same
 // quantities core/reliability.h computes by 2^u world enumeration, at
-// polynomial cost O(n^k · plan-size · n^depth).
+// polynomial cost, at most O(n^k · plan-size · n^depth) and on sparse data
+// about n^k times the support the projections visit.
 //
 // RunContext (nullable) is charged one unit per answer tuple and one per
 // plan-leaf evaluation; a tripped envelope stops the computation with its

@@ -114,17 +114,22 @@ StatusOr<std::unique_ptr<CompiledQuery::Node>> CompiledQuery::CompileNode(
 
 bool CompiledQuery::Eval(const AtomOracle& oracle,
                          const Tuple& assignment) const {
+  Scratch scratch;
+  return Eval(oracle, assignment, &scratch);
+}
+
+bool CompiledQuery::Eval(const AtomOracle& oracle, const Tuple& assignment,
+                         Scratch* scratch) const {
   QREL_CHECK_EQ(static_cast<int>(assignment.size()), arity());
-  std::vector<Element> env(static_cast<size_t>(slot_count_), 0);
+  scratch->env.assign(static_cast<size_t>(slot_count_), 0);
   for (size_t i = 0; i < assignment.size(); ++i) {
     QREL_CHECK_GE(assignment[i], 0);
     QREL_CHECK_LT(assignment[i], oracle.universe_size());
-    env[i] = assignment[i];
+    scratch->env[i] = assignment[i];
   }
   // One argument buffer for every atom this evaluation reads.
-  Tuple args;
-  args.reserve(static_cast<size_t>(max_arity_));
-  return EvalNode(*root_, oracle, &env, &args);
+  scratch->args.reserve(static_cast<size_t>(max_arity_));
+  return EvalNode(*root_, oracle, &scratch->env, &scratch->args);
 }
 
 bool CompiledQuery::EvalNode(const Node& node, const AtomOracle& oracle,

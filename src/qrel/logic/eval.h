@@ -43,6 +43,16 @@ class CompiledQuery {
   // exactly arity() entries (empty for Boolean queries).
   bool Eval(const AtomOracle& oracle, const Tuple& assignment) const;
 
+  // Buffers one evaluation works in; a loop that evaluates many times
+  // passes the same Scratch, so its evaluations allocate nothing after the
+  // first.
+  struct Scratch {
+    std::vector<Element> env;
+    Tuple args;
+  };
+  bool Eval(const AtomOracle& oracle, const Tuple& assignment,
+            Scratch* scratch) const;
+
   // ψ^𝔄 = { ā : 𝔄 ⊨ ψ(ā) } in lexicographic tuple order. Enumerates all
   // n^arity assignments.
   std::vector<Tuple> AnswerSet(const AtomOracle& oracle) const;

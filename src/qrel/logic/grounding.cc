@@ -22,29 +22,6 @@ int GroundDnf::Width() const {
   return static_cast<int>(width);
 }
 
-namespace {
-
-// A matrix term with its variable resolved to a slot of the valuation
-// (free variables first, then bound ones); slot -1 is a constant.
-struct Arg {
-  int slot = -1;
-  Element constant = 0;
-};
-
-// A literal of a matrix conjunct with relation and variables resolved.
-struct Literal {
-  bool positive = true;
-  bool equality = false;
-  int relation = -1;
-  std::vector<Arg> args;
-};
-
-using Conjunct = std::vector<Literal>;
-
-// The tuples R ā with ν(R ā) > 0: observed facts unless μ = 1, plus the
-// observed-false atoms with μ > 0. Every other atom of R is false in every
-// world with positive probability, so a positive literal on it kills the
-// disjunct; these are the only values a positive atom can take.
 std::vector<Tuple> PossibleTuples(const UnreliableDatabase& db,
                                   int relation) {
   const ErrorModel& model = db.model();
@@ -64,6 +41,25 @@ std::vector<Tuple> PossibleTuples(const UnreliableDatabase& db,
   }
   return tuples;
 }
+
+namespace {
+
+// A matrix term with its variable resolved to a slot of the valuation
+// (free variables first, then bound ones); slot -1 is a constant.
+struct Arg {
+  int slot = -1;
+  Element constant = 0;
+};
+
+// A literal of a matrix conjunct with relation and variables resolved.
+struct Literal {
+  bool positive = true;
+  bool equality = false;
+  int relation = -1;
+  std::vector<Arg> args;
+};
+
+using Conjunct = std::vector<Literal>;
 
 // The Theorem 5.4 instantiation of one conjunct under a complete
 // valuation: equalities fold to their truth value, certain atoms to

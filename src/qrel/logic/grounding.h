@@ -79,6 +79,14 @@ StatusOr<GroundDnf> GroundExistential(const PrenexExistential& prenex,
                                       size_t max_terms = size_t{1} << 22,
                                       RunContext* ctx = nullptr);
 
+// The support of `relation`: the tuples R ā with ν(R ā) > 0, i.e. the
+// observed facts unless μ = 1, plus the observed-false atoms with μ > 0.
+// Every other atom of R is false in every world with positive probability,
+// so these are the only values a positive atom can take. The grounding's
+// join and the safe plan's projections (lifted/extensional.h) iterate
+// them. O(facts of R + error-model entries).
+std::vector<Tuple> PossibleTuples(const UnreliableDatabase& db, int relation);
+
 }  // namespace qrel
 
 #endif  // QREL_LOGIC_GROUNDING_H_

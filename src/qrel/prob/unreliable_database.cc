@@ -133,24 +133,8 @@ BigInt UnreliableDatabase::ComputeGPaperLcm() const {
 }
 
 World UnreliableDatabase::SampleWorld(Rng* rng) const {
-  QREL_CHECK(rng != nullptr);
   World world(model_.entry_count());
-  for (int id : certain_flip_entries_) {
-    world.SetFlipped(id, true);
-  }
-  for (int id : uncertain_entries_) {
-    const Rational& mu = model_.error(id);
-    bool flipped;
-    if (mu.denominator().FitsInt64()) {
-      // Exact: flip iff a uniform draw from {0, .., den-1} lands below num.
-      uint64_t den = static_cast<uint64_t>(mu.denominator().ToInt64());
-      uint64_t num = static_cast<uint64_t>(mu.numerator().ToInt64());
-      flipped = rng->NextBelow(den) < num;
-    } else {
-      flipped = rng->NextBernoulli(mu.ToDouble());
-    }
-    world.SetFlipped(id, flipped);
-  }
+  WorldSampler(*this).Sample(rng, &world);
   return world;
 }
 

@@ -97,7 +97,9 @@ class UnreliableDatabase {
   // probability μ; μ=1 atoms always flip. Exact (integer-threshold)
   // Bernoulli draws when a μ denominator fits in 64 bits, which covers
   // every probability this library parses from text; wider denominators
-  // fall back to a double-precision threshold.
+  // fall back to a double-precision threshold. Sampling loops draw into
+  // one reused World through a WorldSampler (world.h) instead; both make
+  // the same draws.
   World SampleWorld(Rng* rng) const;
 
   // Copies the observed database and applies the world's flips; for tests

@@ -36,6 +36,36 @@ WorldIndex::WorldIndex(const UnreliableDatabase& database)
     const GroundAtom& atom = model.atom(e);
     Insert(atom.relation, atom.args, /*observed=*/false, e);
   }
+  // Group the atoms' elements by relation (a counting sort over slots).
+  support_begin_.assign(
+      static_cast<size_t>(observed.vocabulary().relation_count()) + 1, 0);
+  for (const Slot& slot : slots_) {
+    if (slot.relation >= 0) {
+      support_begin_[static_cast<size_t>(slot.relation) + 1] += slot.arity;
+    }
+  }
+  for (size_t r = 1; r < support_begin_.size(); ++r) {
+    support_begin_[r] += support_begin_[r - 1];
+  }
+  support_.resize(support_begin_.back());
+  std::vector<size_t> fill(support_begin_.begin(), support_begin_.end() - 1);
+  for (const Slot& slot : slots_) {
+    if (slot.relation >= 0) {
+      std::copy_n(elements_.begin() + slot.offset, slot.arity,
+                  support_.begin() +
+                      static_cast<ptrdiff_t>(
+                          fill[static_cast<size_t>(slot.relation)]));
+      fill[static_cast<size_t>(slot.relation)] += slot.arity;
+    }
+  }
+}
+
+void WorldIndex::AppendSupport(int relation_id,
+                               std::vector<Element>* out) const {
+  auto r = static_cast<size_t>(relation_id);
+  out->insert(out->end(),
+              support_.begin() + static_cast<ptrdiff_t>(support_begin_[r]),
+              support_.begin() + static_cast<ptrdiff_t>(support_begin_[r + 1]));
 }
 
 uint64_t WorldIndex::Hash(int relation_id, const Tuple& tuple) {
@@ -101,6 +131,25 @@ const Vocabulary& WorldView::vocabulary() const {
 
 int WorldView::universe_size() const {
   return index_.database().universe_size();
+}
+
+WorldSampler::WorldSampler(const UnreliableDatabase& database)
+    : certain_flips_(database.model().CertainFlipEntries()),
+      uncertain_(database.UncertainEntries()) {
+  thresholds_.reserve(uncertain_.size());
+  for (int id : uncertain_) {
+    thresholds_.emplace_back(database.model().error(id));
+  }
+}
+
+void WorldSampler::Sample(Rng* rng, World* world) const {
+  QREL_CHECK(rng != nullptr);
+  for (int id : certain_flips_) {
+    world->SetFlipped(id, true);
+  }
+  for (size_t i = 0; i < uncertain_.size(); ++i) {
+    world->SetFlipped(uncertain_[i], thresholds_[i].Draw(rng));
+  }
 }
 
 }  // namespace qrel

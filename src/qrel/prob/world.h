@@ -15,6 +15,7 @@
 
 #include "qrel/prob/error_model.h"
 #include "qrel/relational/structure.h"
+#include "qrel/util/rng.h"
 
 namespace qrel {
 
@@ -77,6 +78,10 @@ class WorldIndex {
   // outside the universe reads false.
   bool AtomTrue(int relation_id, const Tuple& tuple, const World& world) const;
 
+  // Appends the indexed atoms of `relation_id` (observed facts ∪ error-model
+  // atoms), arity-packed: a superset of R's true tuples in every world.
+  void AppendSupport(int relation_id, std::vector<Element>* out) const;
+
  private:
   struct Slot {
     int32_t relation = -1;  // -1: empty slot
@@ -97,6 +102,10 @@ class WorldIndex {
   std::vector<Slot> slots_;  // power-of-two size, at most half full
   std::vector<Element> elements_;
   uint64_t mask_ = 0;
+  // The indexed atoms' elements grouped by relation: relation r's are
+  // support_[support_begin_[r], support_begin_[r + 1]).
+  std::vector<Element> support_;
+  std::vector<size_t> support_begin_;
 };
 
 // AtomOracle view of one world over an index: atom truth = observed truth
@@ -111,10 +120,33 @@ class WorldView : public AtomOracle {
   bool AtomTrue(int relation_id, const Tuple& tuple) const override {
     return index_.AtomTrue(relation_id, tuple, world_);
   }
+  void AppendCandidates(int relation_id,
+                        std::vector<Element>* out) const override {
+    index_.AppendSupport(relation_id, out);
+  }
 
  private:
   const WorldIndex& index_;
   const World& world_;
+};
+
+// Draws worlds from Ω(𝔇) into a caller's World: each uncertain entry
+// flips independently with probability μ through a BernoulliThreshold
+// precomputed once, μ = 1 entries always flip. Built once per sampling
+// call; UnreliableDatabase::SampleWorld draws through it too, so both make
+// the same draws for one Rng state.
+class WorldSampler {
+ public:
+  explicit WorldSampler(const UnreliableDatabase& database);
+
+  // Overwrites `world` (of the database's entry count) with a fresh draw;
+  // allocates nothing.
+  void Sample(Rng* rng, World* world) const;
+
+ private:
+  std::vector<int> certain_flips_;
+  std::vector<int> uncertain_;
+  std::vector<BernoulliThreshold> thresholds_;  // parallel to uncertain_
 };
 
 }  // namespace qrel

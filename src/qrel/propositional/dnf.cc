@@ -130,16 +130,6 @@ int Dnf::RemoveSubsumedTerms() {
   return removed;
 }
 
-BernoulliThreshold::BernoulliThreshold(const Rational& p) {
-  if (p.denominator().FitsInt64()) {
-    numerator_ = static_cast<uint64_t>(p.numerator().ToInt64());
-    denominator_ = static_cast<uint64_t>(p.denominator().ToInt64());
-  } else {
-    exact_ = false;
-    probability_ = p.ToDouble();
-  }
-}
-
 void MixDnfContent(const Dnf& dnf, const std::vector<Rational>& prob_true,
                    Fingerprint* fp) {
   QREL_CHECK(fp != nullptr);

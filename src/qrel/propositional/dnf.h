@@ -83,29 +83,6 @@ class Dnf {
   std::vector<std::vector<PropLiteral>> terms_;
 };
 
-// A Bernoulli(p) draw with p precomputed once: exact when p's denominator
-// fits in 64 bits (a uniform integer below it is compared with the
-// numerator), which covers every probability parsed from text, and a
-// double threshold otherwise. p = 0 and p = 1 consume no randomness.
-class BernoulliThreshold {
- public:
-  explicit BernoulliThreshold(const Rational& p);
-
-  bool Draw(Rng* rng) const {
-    if (!exact_) {
-      return rng->NextBernoulli(probability_);
-    }
-    return denominator_ == 1 ? numerator_ != 0
-                             : rng->NextBelow(denominator_) < numerator_;
-  }
-
- private:
-  bool exact_ = true;
-  uint64_t numerator_ = 0;
-  uint64_t denominator_ = 1;
-  double probability_ = 0.0;
-};
-
 class Fingerprint;
 
 // Mixes the full instance content — every term's literals and every

@@ -62,6 +62,26 @@ void Structure::SetFact(int relation_id, const Tuple& tuple, bool value) {
   }
 }
 
+void AtomOracle::AppendCandidates(int relation_id,
+                                  std::vector<Element>* out) const {
+  int n = universe_size();
+  if (n == 0) {
+    return;
+  }
+  Tuple tuple(static_cast<size_t>(vocabulary().relation(relation_id).arity),
+              0);
+  do {
+    out->insert(out->end(), tuple.begin(), tuple.end());
+  } while (AdvanceTuple(&tuple, n));
+}
+
+void Structure::AppendCandidates(int relation_id,
+                                 std::vector<Element>* out) const {
+  for (const Tuple& fact : Facts(relation_id)) {
+    out->insert(out->end(), fact.begin(), fact.end());
+  }
+}
+
 bool Structure::AtomTrue(int relation_id, const Tuple& tuple) const {
   CheckTuple(relation_id, tuple);
   const std::set<Tuple>& facts = relations_[static_cast<size_t>(relation_id)];

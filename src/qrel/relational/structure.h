@@ -43,6 +43,15 @@ class AtomOracle {
   // Truth of the ground atom R(tuple); `tuple` length must equal the arity
   // of `relation_id`.
   virtual bool AtomTrue(int relation_id, const Tuple& tuple) const = 0;
+
+  // Appends to `*out`, arity-packed, a superset of the tuples of
+  // `relation_id` (arity >= 1) that are true here: every true tuple once,
+  // possibly some false ones, in no fixed order; callers test AtomTrue.
+  // Join loops iterate these instead of all n^arity tuples. The default
+  // lists all n^arity tuples; a Structure lists its facts, and a WorldView
+  // (prob/world.h) its index's observed facts ∪ error-model atoms.
+  virtual void AppendCandidates(int relation_id,
+                                std::vector<Element>* out) const;
 };
 
 // A mutable finite relational structure over a shared vocabulary.
@@ -64,6 +73,9 @@ class Structure : public AtomOracle {
   // Sets the truth value of R(tuple).
   void SetFact(int relation_id, const Tuple& tuple, bool value);
   bool AtomTrue(int relation_id, const Tuple& tuple) const override;
+  // The facts of the relation.
+  void AppendCandidates(int relation_id,
+                        std::vector<Element>* out) const override;
 
   // All tuples currently in relation `relation_id`, in lexicographic order.
   const std::set<Tuple>& Facts(int relation_id) const;

@@ -13,6 +13,7 @@
 #include <cstdint>
 
 #include "qrel/util/check.h"
+#include "qrel/util/rational.h"
 #include "qrel/util/status.h"
 
 namespace qrel {
@@ -110,6 +111,37 @@ class Rng {
   }
 
   uint64_t state_[4];
+};
+
+// A Bernoulli(p) draw with p precomputed once: exact when p's denominator
+// fits in 64 bits (a uniform integer below it is compared with the
+// numerator), which covers every probability parsed from text, and a
+// double threshold otherwise. p = 0 and p = 1 consume no randomness.
+class BernoulliThreshold {
+ public:
+  explicit BernoulliThreshold(const Rational& p) {
+    if (p.denominator().FitsInt64()) {
+      numerator_ = static_cast<uint64_t>(p.numerator().ToInt64());
+      denominator_ = static_cast<uint64_t>(p.denominator().ToInt64());
+    } else {
+      exact_ = false;
+      probability_ = p.ToDouble();
+    }
+  }
+
+  bool Draw(Rng* rng) const {
+    if (!exact_) {
+      return rng->NextBernoulli(probability_);
+    }
+    return denominator_ == 1 ? numerator_ != 0
+                             : rng->NextBelow(denominator_) < numerator_;
+  }
+
+ private:
+  bool exact_ = true;
+  uint64_t numerator_ = 0;
+  uint64_t denominator_ = 1;
+  double probability_ = 0.0;
 };
 
 }  // namespace qrel

@@ -254,6 +254,8 @@ class CheckpointScope {
  public:
   // `kind` identifies the algorithm + payload encoding; `fingerprint`
   // digests the parameters that must match for a resume to be sound.
+  // `kind` must outlive the scope (callers pass string literals), so an
+  // inert scope costs no allocation.
   CheckpointScope(RunContext* ctx, std::string_view kind,
                   uint64_t fingerprint);
   ~CheckpointScope();
@@ -292,7 +294,7 @@ class CheckpointScope {
  private:
   RunContext* ctx_ = nullptr;
   Checkpointer* checkpointer_ = nullptr;  // non-null iff this scope claimed
-  std::string kind_;
+  std::string_view kind_;
   uint64_t fingerprint_ = 0;
 };
 

@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include "extensional_oracle.h"
 #include "qrel/core/reliability.h"
 #include "qrel/logic/parser.h"
+#include "qrel/logic/safe_plan.h"
 #include "qrel/util/rng.h"
 
 namespace qrel {
@@ -202,6 +204,81 @@ TEST(ExtensionalTest, ChargesWorkProportionalToPlanSize) {
       MustParse("exists x . exists y . E(x, y) & S(y)"), db, &ctx);
   EXPECT_GT(report.work_units, 0u);
   EXPECT_EQ(ctx.work_spent(), report.work_units);
+}
+
+// Safe queries over RandomSparseDatabase's relations: constants,
+// repeated variables, nested projections, disjoint components and free
+// variables (k = 1, 2).
+const char* const kSupportQueries[] = {
+    "exists x . S(x) & E(x, #1)",
+    "exists x . E(x, x) & S(x)",
+    "exists x y z . S(x) & E(x, y) & R(x, y, z)",
+    "exists x y z . R(x, y, z) & E(x, y) & S(x)",
+    "exists x y . E(x, y) & F(y, x)",
+    "exists x y . S(x) & T(y) & F(#0, y)",
+    "exists y . E(x, y) & F(y, #2)",
+    "exists y z . R(x, y, z) & T(x)",
+    "exists z . R(x, y, z) & E(x, y)",
+    "exists z . R(z, x, z) & F(x, y)",
+};
+
+TEST(ExtensionalDifferentialTest, SupportMatchesUniverseWalkOnRandomDatabases) {
+  int compared = 0;
+  for (const char* text : kSupportQueries) {
+    FormulaPtr query = MustParse(text);
+    ASSERT_TRUE(HasSafePlan(query)) << text;
+    for (int n = 3; n <= 5; ++n) {  // constants go up to #2
+      for (uint64_t seed = 1; seed <= 8; ++seed) {
+        UnreliableDatabase db = RandomSparseDatabase(seed * 131 + n, n);
+        std::string label = std::string(text) + " n=" + std::to_string(n) +
+                            " seed=" + std::to_string(seed);
+        StatusOr<ReliabilityReport> support = ExtensionalReliability(query, db);
+        StatusOr<ReliabilityReport> walk =
+            UniverseWalkExtensionalReliability(query, db);
+        ASSERT_TRUE(support.ok())
+            << label << ": " << support.status().ToString();
+        ASSERT_TRUE(walk.ok()) << label << ": " << walk.status().ToString();
+        EXPECT_EQ(support->expected_error, walk->expected_error) << label;
+        EXPECT_EQ(support->reliability, walk->reliability) << label;
+        for (const Tuple& tuple : AllAssignments(query, db)) {
+          StatusOr<Rational> p = ExtensionalQueryProbability(query, db, tuple);
+          StatusOr<Rational> q = UniverseWalkQueryProbability(query, db, tuple);
+          ASSERT_TRUE(p.ok() && q.ok()) << label;
+          EXPECT_EQ(*p, *q) << label;
+          compared += !q->IsZero() && !q->IsOne() ? 1 : 0;
+        }
+      }
+    }
+  }
+  // Many comparisons are of genuinely uncertain probabilities.
+  EXPECT_GT(compared, 200);
+}
+
+TEST(ExtensionalTest, ProjectionsVisitOnlyTheSupport) {
+  // Two possible E tuples and one possible S tuple in a universe of 200:
+  // the universe walk evaluates 1 + 200 + 200·2 plan nodes, the support
+  // a handful.
+  auto vocabulary = std::make_shared<Vocabulary>();
+  vocabulary->AddRelation("E", 2);
+  vocabulary->AddRelation("S", 1);
+  Structure observed(vocabulary, 200);
+  observed.AddFact(0, {3, 7});
+  observed.AddFact(0, {5, 9});
+  observed.AddFact(1, {3});
+  UnreliableDatabase db(std::move(observed));
+  db.SetErrorProbability(GroundAtom{0, {3, 7}}, Rational(1, 3));
+  db.SetErrorProbability(GroundAtom{1, {3}}, Rational(1, 4));
+  db.SetErrorProbability(GroundAtom{1, {4}}, Rational(1, 5));  // absent
+  FormulaPtr query = MustParse("exists x y . S(x) & E(x, y)");
+  StatusOr<ReliabilityReport> report = ExtensionalReliability(query, db);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  StatusOr<ReliabilityReport> walk =
+      UniverseWalkExtensionalReliability(query, db);
+  ASSERT_TRUE(walk.ok()) << walk.status().ToString();
+  EXPECT_EQ(report->expected_error, walk->expected_error);
+  // One tuple; x ranges over S's two possible values {3, 4}, y over the
+  // possible E tuples with that x: 4 plan operations.
+  EXPECT_LE(report->work_units, 10u);
 }
 
 }  // namespace
